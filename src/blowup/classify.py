@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .descent import DescentConfig, run_descent
+from .descent import COLLAPSE_RATIO, DescentConfig, run_descent
 from .discrete import SCHEME_UPWIND, DiscreteGenerator, FactorizationError, Grid
 from .expr import EvalDomainError
 from .flows import IntegrationError, estimate_escape_time
@@ -109,11 +109,7 @@ class SweepPlan:
             raise ValueError(f"truncation points must be positive, got {self.zs!r}")
         if any(lam <= 0 for lam in self.lams):
             raise ValueError(f"eigenvalue candidates must be positive, got {self.lams!r}")
-        if not (0.0 < self.theta_global < self.theta_local):
-            raise ValueError(
-                f"need 0 < theta_global < theta_local, got "
-                f"{self.theta_global!r} vs {self.theta_local!r}"
-            )
+        _check_thresholds(self.theta_local, self.theta_global)
 
     def points(self):
         """All (n, z, lam) combinations, in deterministic sorted order."""
@@ -144,6 +140,21 @@ class Classification:
     profile: np.ndarray
 
 
+def _check_thresholds(theta_local, theta_global):
+    if not (0.0 < theta_global < theta_local):
+        raise ValueError(
+            f"need 0 < theta_global < theta_local, got "
+            f"{theta_global!r} vs {theta_local!r}"
+        )
+    if theta_global < COLLAPSE_RATIO:
+        # the descent stops once the ratio reaches COLLAPSE_RATIO, so a
+        # lower threshold would leave every collapsed point Inconclusive
+        raise ValueError(
+            f"theta_global must be at least the descent's collapse ratio "
+            f"{COLLAPSE_RATIO!r}, got {theta_global!r}"
+        )
+
+
 def _label(norm_ratio, rel_residual, theta_local, theta_global, rho_max):
     if (
         norm_ratio >= theta_local
@@ -167,6 +178,7 @@ def classify_once(
     rho_max: float = RHO_MAX,
 ) -> Evidence:
     """Run one descent and label the outcome.  Errors propagate."""
+    _check_thresholds(theta_local, theta_global)
     op = DiscreteGenerator.from_field(field_fn, grid, lam, scheme)
     trace = run_descent(op, cfg)
     label = _label(

@@ -12,30 +12,82 @@ would mean the arithmetic has degenerated, so the move is rejected and
 the run stops.
 
 What the final iterate means: when R is far from singular the descent
-drives g to (numerical) zero, and when R is nearly singular the descent
+drives g toward zero, and when R is nearly singular the descent
 leaves behind g0's component along the near-null direction — an
 approximate eigenfunction of M with eigenvalue lam.  The caller reads off
 the verdict from the trace's norm ratio and relative residual.
+
+Where the descent is heading can be computed directly.  :func:`near_null`
+runs two steps of inverse iteration on R^T R (Golub & Van Loan) and
+returns the near-null vector w with mu = ||R w||^2 / <w, Q w>, its
+Rayleigh quotient for the pencil (R^T R, Q) that the descent sees.  Once
+the iterate lies in span(w), steepest descent only shrinks that
+component: in its zig-zag between the extreme eigenvectors of
+(R^T R, Q) each step multiplies it by about 1 - 2 mu / mu_max, and
+mu_max <= 1 + lam^2 (by Cauchy-Schwarz,
+||lam g - M g||^2 <= (1 + lam^2)(||g||^2 + ||M g||^2)).  A run therefore
+stops early, before the ``max_iters`` cap, in two cases:
+
+``certified``  the Q-norm distance of g from span(w) is at most
+               CERTIFY_TOL of ||g||_Q, and the rest of the budget would
+               shrink the survivor by at most RATIO_GATE.  The iterate is
+               then advanced over the rest of the budget in closed form,
+               scaled by exp(-2 mu remaining / (1 + lam^2)), so the trace
+               reports what the capped run would have reached;
+``collapsed``  ||g||_inf has fallen to COLLAPSE_RATIO of its start, a
+               hundredth of the classifier's Global threshold.
+
+Both tests are relative to the iterate's own size, so scaling the start
+vector by a power of two scales the whole trace exactly.  The other stops
+are ``converged`` (gradient below ``stop_grad``), ``stagnated`` (no
+decrease possible) and ``cap``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .discrete import DiscreteGenerator, Preconditioner
 
 __all__ = [
     "DescentConfig",
     "DescentTrace",
+    "NearNull",
     "initial_vector",
+    "near_null",
     "optimal_step",
     "run_descent",
+    "COLLAPSE_RATIO",
 ]
 
 INIT_ONES = "ones"
 INIT_RANDOM = "random"
+
+STOP_CONVERGED = "converged"
+STOP_STAGNATED = "stagnated"
+STOP_CAP = "cap"
+STOP_CERTIFIED = "certified"
+STOP_COLLAPSED = "collapsed"
+
+# relative Q-norm distance of the iterate from span(w) that certifies it
+CERTIFY_TOL = 1e-6
+# largest shrink of the survivor over the rest of the budget that a
+# certified stop extrapolates: even unextrapolated, the norm ratio is then
+# within about this relative distance of what the capped run reports
+RATIO_GATE = 5e-3
+# sup-norm ratio at which the iterate counts as collapsed
+COLLAPSE_RATIO = 1e-6
+# seed of near_null's start; any fixed seed works, ``ones`` does not
+# (it is an exact eigenvector of R, with eigenvalue lam)
+_NEAR_NULL_SEED = 0
+# shift of lam, relative to R's largest entry, that makes an exactly
+# singular R invertible
+_SINGULAR_SHIFT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -68,14 +120,18 @@ class DescentConfig:
 class DescentTrace:
     """Everything a classifier needs from one descent run.
 
-    g_final        final iterate
+    g_final        final iterate (after a certified stop, advanced over the
+                   rest of the budget; see the module docstring)
     initial_norm   ||g0||_inf
     final_norm     ||g_final||_inf
     rel_residual   ||R g||_2 / ||g||_2 at the final iterate, None if g = 0
     objectives     phi per iteration, including the starting value
     iterations     number of accepted steps
-    stagnated      True when the run stopped because R d vanished or a
-                   step failed to decrease phi
+    stop_reason    why the run stopped: "converged", "stagnated", "cap",
+                   "certified" or "collapsed" (see the module docstring)
+    budget_margin  mu * max_iters: how far the whole iteration budget could
+                   shrink the near-null component w; a verdict that reads
+                   a norm ratio depends on the budget when this is not small
     """
 
     g_final: np.ndarray
@@ -84,13 +140,73 @@ class DescentTrace:
     rel_residual: float | None
     objectives: list = field(default_factory=list)
     iterations: int = 0
-    stagnated: bool = False
+    stop_reason: str = STOP_CAP
+    budget_margin: float | None = None
+
+    @property
+    def stagnated(self) -> bool:
+        """True when the run stopped because R d vanished or a step failed
+        to decrease phi."""
+        return self.stop_reason == STOP_STAGNATED
 
     @property
     def norm_ratio(self) -> float:
         if self.initial_norm == 0.0:
             return 0.0
         return self.final_norm / self.initial_norm
+
+
+class NearNull(NamedTuple):
+    """The near-null vector of R that a descent converges toward.
+
+    w     unit vector (2-norm), the smallest right singular vector of R
+    mw    M w
+    wq    <w, Q w> = 1 + ||M w||^2
+    mu    ||R w||^2 / <w, Q w>, the Rayleigh quotient of the pencil
+          (R^T R, Q) at w; it sets how fast the descent shrinks w's
+          component
+    """
+
+    w: np.ndarray
+    mw: np.ndarray
+    wq: float
+    mu: float
+
+
+def _inverse_iteration(ab, x):
+    """Two steps of inverse iteration on R^T R, R given by its bands."""
+    abt = np.zeros_like(ab)  # bands of R^T
+    abt[0, 1:] = ab[2, :-1]
+    abt[1] = ab[1]
+    abt[2, :-1] = ab[0, 1:]
+    for _ in range(2):
+        x = solve_banded((1, 1), ab, solve_banded((1, 1), abt, x))
+        norm = np.linalg.norm(x)
+        if not (np.isfinite(norm) and norm > 0.0):
+            raise np.linalg.LinAlgError("inverse iteration lost its vector")
+        x = x / norm
+    return x
+
+
+def near_null(op: DiscreteGenerator) -> NearNull:
+    """Smallest right singular pair of R = lam*I - M, by inverse iteration.
+
+    Two steps on R^T R from a seeded random start, each a banded solve
+    with R^T and one with R.  When R is exactly singular (B = x at lam = 1
+    is, on every grid) lam is shifted by a relative 1e-12 of R's largest
+    entry, which leaves w the null vector.
+    """
+    ab = op.residual_bands()
+    start = np.random.default_rng(_NEAR_NULL_SEED).standard_normal(op.grid.n + 1)
+    try:
+        w = _inverse_iteration(ab, start)
+    except np.linalg.LinAlgError:
+        ab[1] += _SINGULAR_SHIFT * (float(np.max(np.abs(ab))) or 1.0)
+        w = _inverse_iteration(ab, start)
+    mw = op.apply_generator(w)
+    rw = op.lam * w - mw
+    wq = 1.0 + float(mw @ mw)
+    return NearNull(w=w, mw=mw, wq=wq, mu=float(rw @ rw) / wq)
 
 
 def initial_vector(size: int, config: DescentConfig) -> np.ndarray:
@@ -116,6 +232,18 @@ def optimal_step(op: DiscreteGenerator, g, d):
     return float(rg @ rd) / den, False
 
 
+def _in_span(op: DiscreteGenerator, g, null: NearNull) -> bool:
+    """Whether g lies within CERTIFY_TOL of span(w), relative, in the Q-norm.
+
+    Q = I + M^T M, so <x, Q y> = <x, y> + <M x, M y>.
+    """
+    mg = op.apply_generator(g)
+    c = float(g @ null.w + mg @ null.mw) / null.wq
+    e = g - c * null.w
+    me = mg - c * null.mw
+    return float(e @ e + me @ me) <= CERTIFY_TOL**2 * float(g @ g + mg @ mg)
+
+
 def run_descent(
     op: DiscreteGenerator,
     config: DescentConfig = DescentConfig(),
@@ -136,21 +264,27 @@ def run_descent(
             )
 
     precond = Preconditioner(op)
+    null = near_null(op)
+    # shrink of w's component per step: steepest descent's asymptotic rate
+    # 2 mu / mu_max, with mu_max <= 1 + lam^2
+    shrink = 2.0 * null.mu / (1.0 + op.lam**2)
+
     initial_norm = float(np.max(np.abs(g)))
     objectives = [op.objective(g)]
     iterations = 0
-    stagnated = False
+    stop_reason = STOP_CAP
 
     for _ in range(config.max_iters):
         grad = op.ordinary_gradient(g)
         g_norm = float(np.linalg.norm(g))
         if float(np.linalg.norm(grad)) <= config.stop_grad * g_norm:
+            stop_reason = STOP_CONVERGED
             break
 
         d = precond.solve(grad)
         s, stalled = optimal_step(op, g, d)
         if stalled:
-            stagnated = True
+            stop_reason = STOP_STAGNATED
             break
 
         g_next = g - s * d
@@ -158,11 +292,24 @@ def run_descent(
         if phi_next > objectives[-1]:
             # exact step on a quadratic cannot increase phi; arithmetic is
             # exhausted, keep the better iterate
-            stagnated = True
+            stop_reason = STOP_STAGNATED
             break
         g = g_next
         objectives.append(phi_next)
         iterations += 1
+
+        if float(np.max(np.abs(g))) <= COLLAPSE_RATIO * initial_norm:
+            stop_reason = STOP_COLLAPSED
+            break
+        rest = shrink * (config.max_iters - iterations)
+        if (
+            iterations < config.max_iters
+            and rest <= RATIO_GATE
+            and _in_span(op, g, null)
+        ):
+            g = math.exp(-rest) * g
+            stop_reason = STOP_CERTIFIED
+            break
 
     final_norm = float(np.max(np.abs(g)))
     g_l2 = float(np.linalg.norm(g))
@@ -178,5 +325,6 @@ def run_descent(
         rel_residual=rel_residual,
         objectives=objectives,
         iterations=iterations,
-        stagnated=stagnated,
+        stop_reason=stop_reason,
+        budget_margin=null.mu * config.max_iters,
     )

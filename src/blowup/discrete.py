@@ -144,6 +144,21 @@ class DiscreteGenerator:
         w = np.asarray(w, dtype=float)
         return self.lam * w - self.apply_difference_transpose(self.v * w)
 
+    def residual_bands(self):
+        """R in the (1, 1) banded layout of ``scipy.linalg.solve_banded``.
+
+        Row j has lam on the diagonal, +v_j/h at column l_j and -v_j/h at
+        column l_j + 1; entry (j, c) sits at ``ab[1 + j - c, c]``.
+        """
+        rows = np.arange(self.grid.n + 1)
+        left = self._left
+        m = self.v / self.grid.h
+        ab = np.zeros((3, self.grid.n + 1))
+        ab[1] = self.lam
+        np.add.at(ab, (1 + rows - left, left), m)
+        np.add.at(ab, (rows - left, left + 1), -m)
+        return ab
+
     # -- descent quantities -------------------------------------------------
 
     def objective(self, g) -> float:

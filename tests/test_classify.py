@@ -51,6 +51,18 @@ def test_classify_once_respects_thresholds():
     assert ev.label == INCONCLUSIVE
 
 
+def test_classify_once_validates_thresholds_like_the_plan():
+    # the descent stops collapsing iterates at a ratio of 1e-6, so a lower
+    # Global threshold would read a Global field Inconclusive
+    with pytest.raises(ValueError):
+        classify_once(parse("-x^2"), Grid(10.0, 100), 1.0, theta_global=1e-7)
+    with pytest.raises(ValueError):
+        classify_once(parse("-x^2"), Grid(10.0, 100), 1.0, theta_local=1e-5,
+                      theta_global=1e-4)
+    ev = classify_once(parse("-x^2"), Grid(10.0, 100), 1.0, theta_global=1e-6)
+    assert ev.label == GLOBAL
+
+
 def test_verdict_invariant_under_start_scaling():
     for text in ("x^2", "-x^2"):
         plain = classify_once(parse(text), Grid(10.0, 100), 1.0)
@@ -58,6 +70,43 @@ def test_verdict_invariant_under_start_scaling():
             parse(text), Grid(10.0, 100), 1.0, DescentConfig(init_scale=7.0)
         )
         assert scaled.label == plain.label
+
+
+# Label and norm ratio of descents that ran to the 20 000-iteration cap,
+# recorded before runs stopped early.  Local ratios were 0.2-0.95 then.
+CAPPED_RUNS = [
+    ("x^2", 200, 10.0, 0.5, LOCAL, 0.8704603889),
+    ("x^2", 200, 10.0, 1.0, LOCAL, 0.5675473387),
+    ("x^2", 200, 10.0, 2.0, LOCAL, 0.2409235077),
+    ("x*(x-1)", 200, 10.0, 0.5, LOCAL, 0.8670031062),
+    ("x*(x-1)", 200, 10.0, 1.0, LOCAL, 0.5670522714),
+    ("x*(x-1)", 200, 10.0, 2.0, LOCAL, 0.2414485675),
+    ("x", 200, 10.0, 0.5, LOCAL, 1.0650865501),
+    ("x", 200, 10.0, 1.0, LOCAL, 0.7481296758),
+    ("x", 200, 10.0, 2.0, LOCAL, 0.3310390851),
+    ("x*ln(1+x)", 200, 10.0, 0.5, LOCAL, 0.9538290958),
+    ("x*ln(1+x)", 200, 10.0, 1.0, LOCAL, 0.6488055316),
+    ("x*ln(1+x)", 200, 10.0, 2.0, LOCAL, 0.2866617867),
+    # certified only once the rest of the budget is small (about 1 200 steps)
+    ("x*ln(1+x)", 80, 10.0, 2.0, LOCAL, 0.2844486115),
+    ("-x^2", 200, 10.0, 0.5, GLOBAL, 6.510e-161),
+    ("-x^2", 200, 10.0, 1.0, GLOBAL, 1.178e-161),
+    ("-x^2", 200, 10.0, 2.0, GLOBAL, 2.037e-162),
+    ("sin(x)", 200, 10.0, 0.5, GLOBAL, 3.972e-161),
+    ("sin(x)", 200, 10.0, 1.0, GLOBAL, 3.378e-162),
+    ("sin(x)", 200, 10.0, 2.0, GLOBAL, 1.026e-163),
+    # the capped run used all 20 000 steps here
+    ("sin(x)", 40, 20.0, 1.0, GLOBAL, 7.012e-67),
+]
+
+
+@pytest.mark.parametrize("text,n,z,lam,label,ratio", CAPPED_RUNS)
+def test_labels_match_the_capped_run(text, n, z, lam, label, ratio):
+    ev = classify_once(parse(text), Grid(z, n), lam)
+    assert ev.label == label
+    if label == LOCAL:
+        # unextrapolated, a certified stop can sit up to 4e-3 above these
+        assert ev.norm_ratio == pytest.approx(ratio, rel=1e-3)
 
 
 def test_lambda_consistency_for_blowup_field():
@@ -106,6 +155,9 @@ def test_plan_validation():
         SweepPlan(ns=(1,))
     with pytest.raises(ValueError):
         SweepPlan(theta_local=1e-5, theta_global=1e-4)
+    with pytest.raises(ValueError):  # below the descent's collapse ratio
+        SweepPlan(theta_global=1e-7)
+    SweepPlan(theta_global=1e-6)
 
 
 # --------------------------------------------------------------------------

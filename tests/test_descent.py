@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
-from blowup.descent import DescentConfig, initial_vector, optimal_step, run_descent
-from blowup.discrete import DiscreteGenerator, Grid
+from blowup.descent import (
+    COLLAPSE_RATIO,
+    DescentConfig,
+    initial_vector,
+    near_null,
+    optimal_step,
+    run_descent,
+)
+from blowup.discrete import DiscreteGenerator, Grid, Preconditioner
 from blowup.expr import parse
 
 
@@ -118,6 +126,20 @@ def test_power_of_two_scaling_is_bitwise_equivariant():
     assert scaled.objectives == [16.0 * p for p in base.objectives]
 
 
+@pytest.mark.parametrize(
+    "text,max_iters,reason", [("x^2", 400, "certified"), ("-x^2", 1000, "collapsed")]
+)
+def test_power_of_two_scaling_holds_through_early_stops(text, max_iters, reason):
+    # both early stops test quantities relative to the iterate's own size,
+    # so they fire at the same step of the scaled run
+    op = DiscreteGenerator.from_field(parse(text), Grid(10.0, 100), 1.0)
+    base = run_descent(op, DescentConfig(max_iters=max_iters))
+    scaled = run_descent(op, DescentConfig(max_iters=max_iters, init_scale=4.0))
+    assert base.stop_reason == scaled.stop_reason == reason
+    assert scaled.iterations == base.iterations
+    assert np.array_equal(scaled.g_final, 4.0 * base.g_final)
+
+
 def test_scale_equivariance_of_trace_summary_under_seven():
     grid = Grid(10.0, 100)
     op = DiscreteGenerator.from_field(parse("x^2"), grid, 1.0)
@@ -133,6 +155,7 @@ def test_stop_grad_halts_early():
     op = DiscreteGenerator.from_field(parse("x^2"), grid, 1.0)
     loose = run_descent(op, DescentConfig(max_iters=20000, stop_grad=1e-2))
     assert loose.iterations < 20000
+    assert loose.stop_reason == "converged"
 
 
 def test_explicit_start_vector():
@@ -180,4 +203,76 @@ def test_global_field_collapses():
     grid = Grid(10.0, 100)
     op = DiscreteGenerator.from_field(parse("-x^2"), grid, 1.0)
     trace = run_descent(op)
-    assert trace.norm_ratio <= 1e-5
+    assert trace.norm_ratio <= COLLAPSE_RATIO
+    assert trace.stop_reason == "collapsed"
+    assert not trace.stagnated
+
+
+def test_certified_stop_advances_the_survivor_over_the_rest_of_the_budget():
+    grid = Grid(10.0, 200)
+    op = DiscreteGenerator.from_field(parse("x^2"), grid, 1.0)
+    cfg = DescentConfig(max_iters=20000)
+    trace = run_descent(op, cfg)
+    null = near_null(op)
+    assert trace.stop_reason == "certified"
+    assert trace.iterations < 100
+    assert trace.budget_margin == null.mu * cfg.max_iters
+    # the stopped iterate, rescaled, is the survivor: a multiple of w
+    g = trace.g_final / np.linalg.norm(trace.g_final)
+    assert min(np.max(np.abs(g - null.w)), np.max(np.abs(g + null.w))) < 1e-5
+    # a budget that ends at the same step keeps the iterate as it is; the
+    # certified stop shrinks it by 2 mu / (1 + lam^2) = mu per step left
+    shorter = run_descent(op, DescentConfig(max_iters=trace.iterations))
+    assert shorter.stop_reason == "cap"
+    shrink = shorter.norm_ratio / trace.norm_ratio - 1.0
+    rest = cfg.max_iters - trace.iterations
+    assert shrink == pytest.approx(null.mu * rest, rel=1e-2)
+
+
+def test_cap_is_reported_as_such():
+    op = DiscreteGenerator.from_field(parse("x^2"), Grid(10.0, 100), 1.0)
+    trace = run_descent(op, DescentConfig(max_iters=5))
+    assert trace.iterations == 5
+    assert trace.stop_reason == "cap"
+
+
+# --------------------------------------------------------------------------
+# near_null
+# --------------------------------------------------------------------------
+
+def dense_residual(op):
+    return op.lam * np.eye(op.grid.n + 1) - op.generator_matrix()
+
+
+def test_near_null_survives_an_exactly_singular_residual():
+    # B = x makes v_j / h = j on every grid, and lam = 1 an exact eigenvalue
+    # of R's recurrence: the banded solve hits a zero pivot
+    op = DiscreteGenerator.from_field(parse("x"), Grid(10.0, 40), 1.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_banded((1, 1), op.residual_bands(), np.ones(41))
+    null = near_null(op)
+    assert np.all(np.isfinite(null.w))
+    assert np.linalg.norm(null.w) == pytest.approx(1.0, rel=1e-12)
+    assert np.linalg.norm(dense_residual(op) @ null.w) <= 1e-10
+
+
+@pytest.mark.parametrize("text", ["x^2", "x*(x-1)", "x", "x^3"])
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n", [20, 60])
+def test_near_null_matches_the_dense_smallest_singular_vector(text, lam, n):
+    op = DiscreteGenerator.from_field(parse(text), Grid(10.0, n), lam)
+    R = dense_residual(op)
+    _, sigmas, vt = np.linalg.svd(R)
+    v = vt[-1]
+    null = near_null(op)
+    # each inverse-iteration step on R^T R shrinks every other singular
+    # direction by (sigma_min / sigma_i)^2 relative to v
+    err = min(np.linalg.norm(null.w - v), np.linalg.norm(null.w + v))
+    assert err <= (sigmas[-1] / sigmas[-2]) ** 4 + 1e-10
+    rw = R @ null.w
+    assert np.linalg.norm(rw) == pytest.approx(sigmas[-1], rel=1e-6, abs=1e-10)
+    Q = Preconditioner(op).dense()
+    assert null.wq == pytest.approx(float(null.w @ Q @ null.w), rel=1e-8)
+    assert null.mu == pytest.approx(
+        float(rw @ rw) / float(null.w @ Q @ null.w), rel=1e-8, abs=1e-20
+    )

@@ -151,6 +151,11 @@ def test_matches_dense_difference_both_schemes():
             np.testing.assert_allclose(
                 op.residual(g), op.lam * g - op.v * (D @ g), rtol=1e-12, atol=1e-12
             )
+            R = op.lam * np.eye(len(op.v)) - op.v[:, None] * D
+            ab = op.residual_bands()
+            for i, j in np.ndindex(R.shape):
+                want = ab[1 + i - j, j] if abs(i - j) <= 1 else 0.0
+                assert R[i, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_transpose_is_adjoint():
