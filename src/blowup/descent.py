@@ -11,6 +11,13 @@ line.  With that step phi never increases; a numerically observed uptick
 would mean the arithmetic has degenerated, so the move is rejected and
 the run stops.
 
+R g is carried from one iteration to the next, so a step costs one
+application of R^T (grad phi = R^T R g), one Q solve (the stored banded
+Cholesky factor) and two of R: R d for the step, and R g_next, which gives
+phi(g_next) and becomes the next R g.  R g_next is applied afresh rather
+than updated as R g - s R d, which would round differently and blunt the
+test for an increase of phi.
+
 What the final iterate means: when R is far from singular the descent
 drives g toward zero, and when R is nearly singular the descent
 leaves behind g0's component along the near-null direction — an
@@ -224,11 +231,14 @@ def optimal_step(op: DiscreteGenerator, g, d):
     direction carries no residual change and the quadratic has no
     minimizer along it; the caller should stop rather than divide by zero.
     """
-    rd = op.residual(d)
+    return _exact_step(op.residual(g), op.residual(d))
+
+
+def _exact_step(rg, rd):
+    """optimal_step from R g and R d."""
     den = float(rd @ rd)
     if den == 0.0:
         return 0.0, True
-    rg = op.residual(g)
     return float(rg @ rd) / den, False
 
 
@@ -270,31 +280,33 @@ def run_descent(
     shrink = 2.0 * null.mu / (1.0 + op.lam**2)
 
     initial_norm = float(np.max(np.abs(g)))
-    objectives = [op.objective(g)]
+    rg = op.residual(g)
+    objectives = [0.5 * float(rg @ rg)]
     iterations = 0
     stop_reason = STOP_CAP
 
     for _ in range(config.max_iters):
-        grad = op.ordinary_gradient(g)
+        grad = op.residual_transpose(rg)
         g_norm = float(np.linalg.norm(g))
         if float(np.linalg.norm(grad)) <= config.stop_grad * g_norm:
             stop_reason = STOP_CONVERGED
             break
 
         d = precond.solve(grad)
-        s, stalled = optimal_step(op, g, d)
+        s, stalled = _exact_step(rg, op.residual(d))
         if stalled:
             stop_reason = STOP_STAGNATED
             break
 
         g_next = g - s * d
-        phi_next = op.objective(g_next)
+        rg_next = op.residual(g_next)
+        phi_next = 0.5 * float(rg_next @ rg_next)
         if phi_next > objectives[-1]:
             # exact step on a quadratic cannot increase phi; arithmetic is
             # exhausted, keep the better iterate
             stop_reason = STOP_STAGNATED
             break
-        g = g_next
+        g, rg = g_next, rg_next
         objectives.append(phi_next)
         iterations += 1
 

@@ -202,6 +202,23 @@ def test_sweep_failed_point_is_inconclusive_with_error():
     assert c.evidence[0].label == INCONCLUSIVE
 
 
+def test_sweep_records_failed_factorizations_as_inconclusive():
+    # the preconditioner cannot be factored for exp(x) on three of the
+    # default grids; the budget does not matter to which points fail
+    c = classify_sweep(parse("exp(x)"), SweepPlan(), DescentConfig(max_iters=20))
+    failed = {(ev.n, ev.z, ev.lam) for ev in c.evidence if ev.error is not None}
+    assert failed == {
+        (n, z, lam)
+        for n, z in ((200, 20.0), (400, 40.0), (800, 40.0))
+        for lam in (0.5, 1.0, 2.0)
+    }
+    for ev in c.evidence:
+        if ev.error is not None:
+            assert ev.label == INCONCLUSIVE
+            assert ev.trace is None
+    assert c.verdict == INCONCLUSIVE
+
+
 def test_sweep_representative_is_finest_grid():
     plan = SweepPlan(ns=(50, 100), zs=(10.0,), lams=(0.5, 1.0, 2.0))
     c = classify_sweep(parse("x^2"), plan)

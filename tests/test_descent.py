@@ -1,12 +1,16 @@
 """Preconditioned steepest descent: step choice, stopping, equivariance."""
 
+import math
+
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 
 from blowup.descent import (
     COLLAPSE_RATIO,
+    RATIO_GATE,
     DescentConfig,
+    _in_span,
     initial_vector,
     near_null,
     optimal_step,
@@ -234,6 +238,80 @@ def test_cap_is_reported_as_such():
     trace = run_descent(op, DescentConfig(max_iters=5))
     assert trace.iterations == 5
     assert trace.stop_reason == "cap"
+
+
+def reference_descent(op, config):
+    """The descent loop in its first form, R g applied four times a step.
+
+    ordinary_gradient, optimal_step and objective each apply R to g (or to
+    g_next) afresh, and Q is solved through cho_solve_banded.  run_descent
+    carries R g forward and calls dpbtrs itself; the arithmetic is the same.
+    """
+    g = initial_vector(op.grid.n + 1, config)
+    precond = Preconditioner(op)
+    ab = np.zeros((2, op.grid.n + 1))
+    ab[0, 1:] = precond.off_diagonal
+    ab[1] = precond.diagonal
+    factor = cholesky_banded(ab, lower=False)
+    null = near_null(op)
+    shrink = 2.0 * null.mu / (1.0 + op.lam**2)
+
+    initial_norm = float(np.max(np.abs(g)))
+    objectives = [op.objective(g)]
+    iterations = 0
+    stop_reason = "cap"
+    for _ in range(config.max_iters):
+        grad = op.ordinary_gradient(g)
+        if float(np.linalg.norm(grad)) <= config.stop_grad * float(np.linalg.norm(g)):
+            stop_reason = "converged"
+            break
+        d = cho_solve_banded((factor, False), grad)
+        s, stalled = optimal_step(op, g, d)
+        if stalled:
+            stop_reason = "stagnated"
+            break
+        g_next = g - s * d
+        phi_next = op.objective(g_next)
+        if phi_next > objectives[-1]:
+            stop_reason = "stagnated"
+            break
+        g = g_next
+        objectives.append(phi_next)
+        iterations += 1
+        if float(np.max(np.abs(g))) <= COLLAPSE_RATIO * initial_norm:
+            stop_reason = "collapsed"
+            break
+        rest = shrink * (config.max_iters - iterations)
+        if (
+            iterations < config.max_iters
+            and rest <= RATIO_GATE
+            and _in_span(op, g, null)
+        ):
+            g = math.exp(-rest) * g
+            stop_reason = "certified"
+            break
+    return g, objectives, iterations, stop_reason
+
+
+@pytest.mark.parametrize(
+    "text,n,z,lam,config,reason",
+    [
+        ("x^2", 200, 10.0, 1.0, DescentConfig(), "certified"),
+        ("-x^2", 200, 10.0, 1.0, DescentConfig(), "collapsed"),
+        ("x^2", 100, 10.0, 1.0, DescentConfig(stop_grad=1e-2), "converged"),
+        ("x^2", 40, 10.0, 1.0, DescentConfig(max_iters=30), "cap"),
+        ("exp(x)", 200, 40.0, 2.0, DescentConfig(), "stagnated"),
+    ],
+)
+def test_descent_is_bitwise_the_reference_loop(text, n, z, lam, config, reason):
+    op = DiscreteGenerator.from_field(parse(text), Grid(z, n), lam)
+    g, objectives, iterations, stop_reason = reference_descent(op, config)
+    trace = run_descent(op, config)
+    assert stop_reason == reason
+    assert trace.stop_reason == stop_reason
+    assert trace.iterations == iterations
+    assert trace.objectives == objectives
+    assert trace.g_final.tobytes() == g.tobytes()
 
 
 # --------------------------------------------------------------------------

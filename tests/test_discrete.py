@@ -8,11 +8,13 @@ matrix-free code paths they are checking.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from blowup.discrete import (
     SCHEME_FORWARD_THEN_BACKWARD,
     SCHEME_UPWIND,
     DiscreteGenerator,
+    FactorizationError,
     Grid,
     Preconditioner,
 )
@@ -277,6 +279,30 @@ def test_preconditioner_solve_matches_dense_solver():
     r = rng.standard_normal(6)
     expected = np.linalg.solve(P.dense(), r)
     np.testing.assert_allclose(P.solve(r), expected, rtol=1e-10, atol=1e-12)
+
+
+def test_preconditioner_solve_is_bitwise_cho_solve_banded():
+    rng = np.random.default_rng(23)
+    op = DiscreteGenerator.from_field(parse("x^2"), Grid(10.0, 200), 1.0)
+    P = Preconditioner(op)
+    ab = np.zeros((2, 201))
+    ab[0, 1:] = P.off_diagonal
+    ab[1] = P.diagonal
+    factor = cholesky_banded(ab, lower=False)
+    r = rng.standard_normal(201)
+    assert P.solve(r).tobytes() == cho_solve_banded((factor, False), r).tobytes()
+    for bad in (np.nan, np.inf, -np.inf):
+        r[17] = bad
+        with pytest.raises(ValueError):
+            P.solve(r)
+
+
+def test_preconditioner_factorization_fails_when_the_identity_cancels():
+    # exp(20) / 0.1 makes (v/h)^2 * eps far above 1, so I + C^T C rounds
+    # to the singular C^T C
+    op = DiscreteGenerator.from_field(parse("exp(x)"), Grid(20.0, 200), 1.0)
+    with pytest.raises(FactorizationError):
+        Preconditioner(op)
 
 
 def test_preconditioner_positive_definite_eigenvalues():
