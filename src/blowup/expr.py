@@ -19,6 +19,7 @@ overflow, a negative base under a fractional power) raises
 
 from __future__ import annotations
 
+import itertools
 import math
 
 __all__ = [
@@ -199,9 +200,10 @@ def _pow(base, exponent):
     if exponent == k and abs(k) <= 4096:
         k = int(k)
         if k < 0:
-            if base == 0.0:
-                raise EvalDomainError("zero base with negative exponent")
-            return 1.0 / _int_pow(base, -k)
+            power = _int_pow(base, -k)
+            if power == 0.0:  # a zero base, or one whose power underflows
+                raise EvalDomainError(f"{base!r} to the power {k} is not representable")
+            return 1.0 / power
         return _int_pow(base, k)
     if base < 0.0:
         raise EvalDomainError("negative base with non-integer exponent")
@@ -272,19 +274,36 @@ def _to_text(node):
     return f"({_to_text(node[1])} {op} {_to_text(node[2])})"
 
 
-def _compile_source(node):
+# x^2, x^3 and x^4 as the products _int_pow forms, in its order
+_INLINE_POWERS = {
+    2.0: "({0} * {0})",
+    3.0: "({0} * ({0} * {0}))",
+    4.0: "(({0} * {0}) * ({0} * {0}))",
+}
+
+
+def _compile_source(node, temps=None):
     # mirrors _eval_node operation for operation so results are bit-identical
+    if temps is None:
+        temps = itertools.count()
     op = node[0]
     if op == "num":
         return repr(node[1])
     if op == "var":
         return "x"
     if op == "neg":
-        return f"(-{_compile_source(node[1])})"
+        return f"(-{_compile_source(node[1], temps)})"
     if op == "call":
-        return f"_c_{node[1]}({_compile_source(node[2])})"
-    a = _compile_source(node[1])
-    b = _compile_source(node[2])
+        return f"_c_{node[1]}({_compile_source(node[2], temps)})"
+    a = _compile_source(node[1], temps)
+    if op == "^" and node[2][0] == "num" and node[2][1] in _INLINE_POWERS:
+        if node[1][0] in ("num", "var"):
+            return _INLINE_POWERS[node[2][1]].format(a)
+        # evaluate a compound base once and reuse it
+        name = f"_p{next(temps)}"
+        first, rest = _INLINE_POWERS[node[2][1]].split("{0}", 1)
+        return first + f"({name} := {a})" + rest.format(name)
+    b = _compile_source(node[2], temps)
     if op in "+-*":
         return f"({a} {op} {b})"
     if op == "/":

@@ -9,9 +9,22 @@ Three flows with closed forms serve as ground truth:
 Escape times are ``float`` or ``None``; ``None`` means the trajectory never
 escapes (it exists for all time).  IEEE infinities never enter arithmetic.
 
-:func:`estimate_escape_time` integrates an arbitrary field numerically
-(adaptive classical Runge-Kutta with step doubling) and reports either the
-time the trajectory crossed a large cap, or survival to the horizon.
+:func:`estimate_escape_time` integrates an arbitrary field numerically with
+adaptive classical Runge-Kutta (step doubling) and reports BLEW_UP with the
+time the trajectory crosses a large cap, or SURVIVED.  The sign of B at the
+starting state picks what it integrates:
+
+- B(x0) > 0: the trajectory rises monotonically, and the probe integrates
+  its time as a function of the state, t(u) = int_{x0}^u ds / B(s)
+  (Osgood's test read as an ODE), piece by piece over [a, 2a].  It claims
+  an escape only when the times of the last pieces shrink geometrically and
+  their bounded sum stays inside the horizon; crossing the cap is not
+  enough, so x e^t, which crosses any cap in finite time, survives.  A zero
+  of B ahead of the state means survival.  Near the Osgood boundary the
+  geometric test reads a slowly converging tail as survival: B = x ln(1+x)^2
+  blows up, but its piece-time ratio at a cap of 1e8 is about 0.93.
+- B(x0) <= 0: the trajectory does not rise, and the probe integrates the
+  state as a function of time, u(t), watching for |u| >= cap.
 """
 
 from __future__ import annotations
@@ -139,6 +152,13 @@ def sample_eigenfunction(escape_fn, rate, xs):
 BLEW_UP = "blew-up"
 SURVIVED = "survived"
 
+# Thresholds of the time-of-state path (see estimate_escape_time).
+_TAIL_RATIO = 0.9      # a full piece may take at most this share of the time of the one before
+_TAIL_PIECES = 4       # how many of the last full pieces the ratio test reads
+_TAIL_STOP = 1e-12     # stop early once the tail bound is below this share of t
+_STEP_FLOOR = 1e-14    # smallest state step, relative to max(|u|, 1)
+_MAX_TRIALS = 100_000  # trial steps one probe may take on that path
+
 
 class IntegrationError(RuntimeError):
     """The integrator could not resolve the trajectory to the requested accuracy."""
@@ -149,9 +169,11 @@ class EscapeEstimate:
     """Outcome of a numeric trajectory probe.
 
     status      BLEW_UP or SURVIVED
-    time        estimated escape time (BLEW_UP) or the horizon (SURVIVED)
+    time        estimated time the trajectory crosses ``cap`` (BLEW_UP), or
+                the horizon (SURVIVED)
     final_state trajectory value when the probe stopped
-    steps       number of accepted integrator steps
+    steps       number of accepted integrator steps: steps in the state
+                (of t(u)) when B(x0) > 0, steps in time (of u(t)) otherwise
     """
 
     status: str
@@ -180,30 +202,157 @@ def estimate_escape_time(
     h0: float = 1e-3,
     tol: float = 1e-10,
 ) -> EscapeEstimate:
-    """Integrate u' = field(u) from x0 and watch for escape past ``cap``.
+    """Integrate the trajectory of u' = field(u) from x0 and judge whether
+    it escapes past ``cap`` within ``horizon``.
 
-    Steps are classical fourth-order Runge-Kutta, adapted by step doubling:
-    each step is taken once at h and twice at h/2, the discrepancy scaled by
-    1 + |state| is the error estimate, and h is halved or (on very clean
-    steps) doubled accordingly.  A trial step that leaves the field's domain
-    or goes non-finite is treated as too big and retried at half the step,
-    unless the state is still moderate, in which case the field itself is
-    broken and the error propagates.
+    Both paths take classical fourth-order Runge-Kutta steps adapted by
+    step doubling: each step is taken once at h and twice at h/2, the
+    discrepancy scaled by 1 + |state| is the error estimate, checked
+    against ``tol``, and h is halved or (on very clean steps) doubled
+    accordingly.  ``h0`` is the first time step.  Which path runs is read
+    from the sign of field(x0).
 
-    On crossing ``cap`` the crossing time is located by linear interpolation
+    **B(x0) > 0: time as a function of the state.**  The trajectory rises
+    until it meets a zero of B, so its time is t(u) = int_{x0}^u ds/B(s),
+    the solution of dt/du = 1/B(u) with t as the state.  The right-hand
+    side depends on u alone, so a Runge-Kutta step is Simpson's rule, and
+    the full step and its two halves share their five evaluations (four
+    new ones per step, two per retry).  The states are cut into pieces
+    [a, a + max(|a|, 1)], dyadic once a >= 1, the last one clipped at
+    ``cap``.  The probe ends at the first of:
+
+    - t reaches the horizon: SURVIVED, final_state = the state there;
+    - B <= 0 at an evaluated state, or the state step falls below 1e-14
+      max(|u|, 1): B has a zero ahead that the trajectory never passes.
+      SURVIVED, final_state = the last state reached;
+    - the state reaches ``cap``: BLEW_UP with time = t(cap) if the times
+      of the last four full pieces (at least two) each are at most 0.9 of
+      the one before, and t(cap) plus the geometric tail bound
+      tau r / (1 - r) stays inside the horizon, where tau is the time of
+      the last full piece and r the largest of those ratios.  Otherwise
+      SURVIVED, final_state = cap.  At a cap of 1e8 the ratio is 1 for
+      B = x, about 0.96 for x ln(1+x), 0.71 for x^1.5 and 0.5 for x^2;
+    - after a full piece, the tail bound is below 1e-12 t (and t plus it
+      inside the horizon): BLEW_UP with time = t, which is then within
+      1e-12 t of t(cap).  exp(x) stops there by u = 128, long before exp
+      overflows.
+
+    The ratio test reads a slowly converging tail as survival, so near
+    the Osgood boundary a flow that blows up can be reported SURVIVED:
+    B = x ln(1+x)^2 escapes at 1/ln(1+x0), yet its ratio at a cap of 1e8
+    is about 0.93.  B is never evaluated more than one step past the
+    state reached.  Evaluation errors of the field propagate, and a probe
+    that needs more than 100 000 trial steps raises
+    :class:`IntegrationError`.
+
+    **B(x0) <= 0: state as a function of time.**  The trajectory does not
+    rise, and u(t) is integrated directly.  A trial step that leaves the
+    field's domain or goes non-finite is treated as too big and retried at
+    half the step, unless the state is still moderate, in which case the
+    field itself is broken and the error propagates.  On crossing ``cap``
+    (|u| >= cap) the crossing time is located by linear interpolation
     within the final step.  If the step size collapses to the floor while
     the state's own timescale |u| / |field(u)| has shrunk below 1e-8 of the
     horizon, the remaining time to blow-up is negligible at the reporting
     precision and the current time is returned as the escape time;
-    otherwise :class:`IntegrationError` is raised.
+    otherwise :class:`IntegrationError` is raised.  Reaching the horizon
+    is SURVIVED.
     """
     if horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
     if cap <= abs(x0):
         raise ValueError(f"cap {cap!r} must exceed the starting state {x0!r}")
 
+    x0 = float(x0)
+    b0 = field(x0)
+    if b0 > 0.0:
+        return _integrate_time(field, x0, b0, horizon, cap, h0, tol)
+    return _integrate_state(field, x0, horizon, cap, h0, tol)
+
+
+def _integrate_time(field, x0, b0, horizon, cap, h0, tol):
+    """The B(x0) > 0 path of :func:`estimate_escape_time`: dt/du = 1/B(u)."""
     t = 0.0
-    u = float(x0)
+    u = x0
+    f0 = 1.0 / b0
+    h = h0 * b0  # the state step that the first time step covers
+    steps = trials = 0
+    times = []  # time spent in each full piece
+
+    while True:
+        end = min(u + max(abs(u), 1.0), cap)
+        tau = 0.0
+        kept = None  # B at u + step/4 and u + step/2 of a rejected trial
+        while u < end:
+            trials += 1
+            if trials > _MAX_TRIALS:
+                raise IntegrationError(
+                    f"no verdict after {_MAX_TRIALS} trial steps, at t={t!r}, "
+                    f"state={u!r}"
+                )
+            step = min(h, end - u)
+            u4 = end if step == end - u else u + step
+            if kept is None:
+                b2 = field(u + 0.5 * step)
+                b4 = field(u4)
+            else:
+                b2, b4 = kept  # the retry is the first half of the rejected step
+            b1 = field(u + 0.25 * step)
+            b3 = field(u + 0.75 * step)
+            if min(b1, b2, b3, b4) <= 0.0:
+                # B has a zero in (u, u4]; the trajectory never passes it
+                return EscapeEstimate(SURVIVED, horizon, u, steps)
+            f1, f2, f3, f4 = 1.0 / b1, 1.0 / b2, 1.0 / b3, 1.0 / b4
+            full = (step / 6.0) * (f0 + 4.0 * f2 + f4)
+            half = (step / 12.0) * (f0 + 4.0 * f1 + 2.0 * f2 + 4.0 * f3 + f4)
+            err = abs(half - full) / (1.0 + t + half)
+            if err <= tol:
+                steps += 1
+                if t + half >= horizon:
+                    # locate the state at the horizon inside this step
+                    frac = (horizon - t) / half
+                    return EscapeEstimate(SURVIVED, horizon, u + frac * (u4 - u), steps)
+                t += half
+                tau += half
+                u, f0 = u4, f4
+                kept = None
+                if err < tol / 64.0:
+                    h *= 2.0
+                continue
+            h = 0.5 * step
+            kept = b1, b2
+            if h < _STEP_FLOOR * max(abs(u), 1.0):
+                # 1/B cannot be resolved: B is closing on a zero ahead
+                return EscapeEstimate(SURVIVED, horizon, u, steps)
+
+        if end == cap:
+            tail = _geometric_tail(times)
+            if tail is not None and t + tail <= horizon:
+                return EscapeEstimate(BLEW_UP, t, u, steps)
+            return EscapeEstimate(SURVIVED, horizon, u, steps)
+        times.append(tau)
+        tail = _geometric_tail(times)
+        if tail is not None and tail <= _TAIL_STOP * t and t + tail <= horizon:
+            return EscapeEstimate(BLEW_UP, t, u, steps)
+
+
+def _geometric_tail(times):
+    """tau r / (1 - r), a bound on the time left after the last full piece,
+    or None unless each of the last pieces took at most _TAIL_RATIO of the
+    time of the one before."""
+    recent = times[-_TAIL_PIECES:]
+    pairs = list(zip(recent, recent[1:]))
+    if not pairs or any(b > _TAIL_RATIO * a for a, b in pairs):
+        return None
+    # once a piece time is 0 every later one is: those ratios carry nothing
+    r = max((b / a for a, b in pairs if a > 0.0), default=0.0)
+    return recent[-1] * r / (1.0 - r)
+
+
+def _integrate_state(field, x0, horizon, cap, h0, tol):
+    """The B(x0) <= 0 path of :func:`estimate_escape_time`: u' = B(u)."""
+    t = 0.0
+    u = x0
     h = min(h0, horizon)
     h_floor = 1e-14 * horizon
     steps = 0

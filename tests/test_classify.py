@@ -292,6 +292,17 @@ def test_cross_validate_logistic_probe_split():
         assert p.status == ("survived" if p.x < 1.0 else "blew-up")
 
 
+def test_cross_validate_catches_the_false_local_of_linear_growth():
+    # the descent calls u' = u Local; every trajectory x e^t crosses the cap
+    # inside the horizon, but none escapes, and the probes say so
+    field = parse("x")
+    c = classify_sweep(field, FAST)
+    report = cross_validate(field, c)
+    assert c.verdict == LOCAL
+    assert report.agreement is False
+    assert all(p.status == "survived" for p in report.probes)
+
+
 def test_cross_validate_inconclusive_has_no_agreement():
     field = parse("x^2")
     plan = SweepPlan(ns=(100,), zs=(10.0,), lams=(1.0,), theta_local=0.99)

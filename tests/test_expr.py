@@ -112,7 +112,7 @@ def test_canonical_is_fully_parenthesized():
 
 _EXPRS = [parse(t) for t in (
     "x^2", "-x^2", "x*(x-1)", "x^3", "1 + x/2 - x^2/7",
-    "sin(x)*cos(x)", "2^x",
+    "sin(x)*cos(x)", "2^x", "x^4", "(x+1)^3", "x^0", "x^-2",
 )]
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from blowup.expr import parse
 from blowup.flows import (
@@ -166,9 +166,9 @@ def test_estimate_cubic_field():
 
 
 def test_estimate_exponential_field_commits_by_timescale():
-    # u' = exp(u) escapes from x at exp(-x); the state crawls (it is only
-    # ~40 when steps underflow), so the probe must argue from the local
-    # timescale instead of reaching the cap
+    # u' = exp(u) escapes from x at exp(-x); exp overflows long before the
+    # cap, so the probe must stop on the geometric tail of its time pieces
+    # instead of reaching the cap
     for x in (0.0, 1.0):
         est = estimate_escape_time(parse("exp(x)"), x)
         assert est.escaped
@@ -202,3 +202,77 @@ def test_closed_form_and_numeric_probe_agree_everywhere_sampled():
     for x in np.linspace(0.4, 6.0, 7):
         est = estimate_escape_time(field, float(x))
         assert est.time == pytest.approx(SQ.escape_time(float(x)), rel=1e-6)
+
+
+# --------------------------------------------------------------------------
+# time as a function of the state (B(x0) > 0)
+# --------------------------------------------------------------------------
+
+HORIZON, CAP = 50.0, 1e8
+
+
+@pytest.mark.parametrize("text", ["x", "x*ln(1+x)"])
+@pytest.mark.parametrize("x0", [0.625, 5.0, 9.9])
+def test_global_growth_survives_its_cap_crossing(text, x0):
+    # both cross the cap well inside the horizon, but their piece times do
+    # not shrink geometrically (ratios 1 and about 0.96 at the cap)
+    est = estimate_escape_time(parse(text), x0, horizon=HORIZON, cap=CAP)
+    assert est.status == SURVIVED
+    assert est.time == HORIZON
+
+
+@pytest.mark.parametrize("x0", [7.3, 8.0, 10.0])
+def test_exponential_field_escapes_from_large_states(x0):
+    est = estimate_escape_time(parse("exp(x)"), x0, horizon=HORIZON, cap=CAP)
+    assert est.status == BLEW_UP
+    assert est.time == pytest.approx(math.exp(-x0), rel=1e-6)
+
+
+def test_trajectory_stops_at_a_zero_of_the_field():
+    # from 0.5 the flow of sin climbs toward its zero at pi and never passes it
+    est = estimate_escape_time(parse("sin(x)"), 0.5, horizon=HORIZON, cap=CAP)
+    assert est.status == SURVIVED
+    assert 3.0 < est.final_state <= math.pi
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.floats(min_value=1.2, max_value=4.0),
+    st.floats(min_value=0.05, max_value=10.0, exclude_min=True),
+)
+def test_power_fields_cross_the_cap_at_the_closed_form_time(p, x0):
+    # m(x) = x^(1-p) / (p-1) is the escape time of u' = u^p from x
+    def m(x):
+        return x ** (1.0 - p) / (p - 1.0)
+
+    crossing = m(x0) - m(CAP)
+    # within the tolerance of the horizon either verdict is right
+    assume(abs(crossing - HORIZON) > 1e-6 * HORIZON)
+    est = estimate_escape_time(parse("x^%r" % p), x0, horizon=HORIZON, cap=CAP)
+    if crossing > HORIZON:
+        assert est.status == SURVIVED
+    else:
+        assert est.status == BLEW_UP
+        assert est.time == pytest.approx(crossing, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "text, x0",
+    [
+        ("x^3", 9.9),     # stops once its piece times are about 1e-12 of t
+        ("exp(x)", 0.0),
+        ("exp(x)", 10.0),
+        ("sin(x)", 3.1),  # closes on the zero at pi until the step floor
+    ],
+)
+def test_probe_work_is_bounded(text, x0):
+    est = estimate_escape_time(parse(text), x0, horizon=HORIZON, cap=CAP)
+    assert est.steps < 5_000
+
+
+def test_probe_gives_up_after_its_trial_budget():
+    # B oscillates with period 0.006, so reaching the horizon would take
+    # about 500 000 steps (54 000 at a tenth of the frequency); the probe
+    # raises instead of running on
+    with pytest.raises(IntegrationError):
+        estimate_escape_time(parse("2 + sin(1000*x)"), 0.0, horizon=HORIZON, cap=CAP)
