@@ -27,27 +27,54 @@ the verdict from the trace's norm ratio and relative residual.
 Where the descent is heading can be computed directly.  :func:`near_null`
 runs two steps of inverse iteration on R^T R (Golub & Van Loan) and
 returns the near-null vector w with mu = ||R w||^2 / <w, Q w>, its
-Rayleigh quotient for the pencil (R^T R, Q) that the descent sees.  Once
-the iterate lies in span(w), steepest descent only shrinks that
-component: in its zig-zag between the extreme eigenvectors of
-(R^T R, Q) each step multiplies it by about 1 - 2 mu / mu_max, and
-mu_max <= 1 + lam^2 (by Cauchy-Schwarz,
-||lam g - M g||^2 <= (1 + lam^2)(||g||^2 + ||M g||^2)).  A run therefore
-stops early, before the ``max_iters`` cap, in two cases:
+Rayleigh quotient for the pencil (R^T R, Q) that the descent sees.
+
+Steepest descent with exact steps settles into a two-step cycle (Akaike
+1959; Forsythe 1968): the step sizes repeat with period two, and every
+pair of steps multiplies the iterate by the same pair rate P.  Once that
+holds, the rest of the run is known in closed form.  The loop keeps the
+last three step sizes; the cycle has formed when
+|s_k - s_{k-2}| <= CYCLE_TOL |s_k| has held on CYCLE_STREAK consecutive
+steps.  From then on it reads P = c_k / c_{k-2} off the coefficient
+c = <g, Q w> / <w, Q w> of the iterate along w.  When P lies in (0, 1) and
+the steps left in the budget, rest, are even, g at the cap would be
+P^(rest/2) g, and the run stops:
+
+``collapsed``  that would bring ||g||_inf to COLLAPSE_RATIO of its start
+               (a hundredth of the classifier's Global threshold); g is
+               scaled by P^k for the smallest number of pairs k that does;
+``certified``  otherwise; g is scaled by P^(rest/2), so the trace reports
+               what the capped run would have reached.
+
+On the default sweep the cycle stops every ``-x^2`` point, 13 ``sin(x)``
+points and one each of ``x^3`` and ``x*(x-1)``; most coarse-grid points
+(n = 40 or 100) stop by it as well.  A cycle can be transient: for ``x`` at n = 40,
+lam = 0.5 the descent leaves its first cycle for a slower one, and the
+stop sits 2e-3 below the capped run's ratio.  Where the cycle forms too
+late or not at all, the span test is the fallback:
 
 ``certified``  the Q-norm distance of g from span(w) is at most
                CERTIFY_TOL of ||g||_Q, and the rest of the budget would
-               shrink the survivor by at most RATIO_GATE.  The iterate is
-               then advanced over the rest of the budget in closed form,
-               scaled by exp(-2 mu remaining / (1 + lam^2)), so the trace
-               reports what the capped run would have reached;
-``collapsed``  ||g||_inf has fallen to COLLAPSE_RATIO of its start, a
-               hundredth of the classifier's Global threshold.
+               shrink the survivor by at most RATIO_GATE at the per-step
+               rate 2 mu / (1 + lam^2).  g is then scaled by
+               exp(-2 mu rest / (1 + lam^2)).  That rate is steepest
+               descent's 2 mu / mu_max with mu_max replaced by 1 + lam^2
+               (||lam g - M g||^2 <= (1 + lam^2)(||g||^2 + ||M g||^2) by
+               Cauchy-Schwarz); it approximates the cycle's shrink per
+               step, within a few percent, and is not a bound.
+``collapsed``  ||g||_inf has actually fallen to COLLAPSE_RATIO of its
+               start.
 
-Both tests are relative to the iterate's own size, so scaling the start
-vector by a power of two scales the whole trace exactly.  The other stops
-are ``converged`` (gradient below ``stop_grad``), ``stagnated`` (no
-decrease possible) and ``cap``.
+The default-grid ``x^2``, ``x^1.5``, ``x*ln(1+x)`` and ``x`` points certify
+by the span test after 10-28 steps, before a cycle can be detected; ``x``
+at lam = 1 (R exactly singular) and the rounding-limited ``exp(x)``
+points never form a cycle.
+
+Every test is relative to the iterate's own size, and neither the step
+sizes nor P change when g is scaled, so scaling the start vector by a
+power of two scales the whole trace exactly.  The other stops are
+``converged`` (gradient below ``stop_grad``), ``stagnated`` (no decrease
+possible) and ``cap``.
 """
 
 from __future__ import annotations
@@ -81,6 +108,10 @@ STOP_CAP = "cap"
 STOP_CERTIFIED = "certified"
 STOP_COLLAPSED = "collapsed"
 
+# the two-step cycle has formed once |s_k - s_{k-2}| <= CYCLE_TOL |s_k| has
+# held on CYCLE_STREAK consecutive steps
+CYCLE_TOL = 1e-9
+CYCLE_STREAK = 4
 # relative Q-norm distance of the iterate from span(w) that certifies it
 CERTIFY_TOL = 1e-6
 # largest shrink of the survivor over the rest of the budget that a
@@ -127,13 +158,14 @@ class DescentConfig:
 class DescentTrace:
     """Everything a classifier needs from one descent run.
 
-    g_final        final iterate (after a certified stop, advanced over the
-                   rest of the budget; see the module docstring)
+    g_final        final iterate (after a certified stop or a collapse
+                   predicted from the cycle, advanced in closed form; see
+                   the module docstring)
     initial_norm   ||g0||_inf
     final_norm     ||g_final||_inf
     rel_residual   ||R g||_2 / ||g||_2 at the final iterate, None if g = 0
     objectives     phi per iteration, including the starting value
-    iterations     number of accepted steps
+    iterations     number of accepted steps; a closed-form advance adds none
     stop_reason    why the run stopped: "converged", "stagnated", "cap",
                    "certified" or "collapsed" (see the module docstring)
     budget_margin  mu * max_iters: how far the whole iteration budget could
@@ -242,16 +274,40 @@ def _exact_step(rg, rd):
     return float(rg @ rd) / den, False
 
 
-def _in_span(op: DiscreteGenerator, g, null: NearNull) -> bool:
-    """Whether g lies within CERTIFY_TOL of span(w), relative, in the Q-norm.
+def _w_coefficient(g, mg, null: NearNull) -> float:
+    """c = <g, Q w> / <w, Q w>, g's coefficient along w in the Q-inner product.
 
-    Q = I + M^T M, so <x, Q y> = <x, y> + <M x, M y>.
+    Q = I + M^T M, so <x, Q y> = <x, y> + <M x, M y>; mg is M g.
     """
+    return float(g @ null.w + mg @ null.mw) / null.wq
+
+
+def _in_span(op: DiscreteGenerator, g, null: NearNull) -> bool:
+    """Whether g lies within CERTIFY_TOL of span(w), relative, in the Q-norm."""
     mg = op.apply_generator(g)
-    c = float(g @ null.w + mg @ null.mw) / null.wq
+    c = _w_coefficient(g, mg, null)
     e = g - c * null.w
     me = mg - c * null.mw
     return float(e @ e + me @ me) <= CERTIFY_TOL**2 * float(g @ g + mg @ mg)
+
+
+def _cycle_stop(g_max, initial_norm, rate, pairs_left):
+    """Pairs of steps to advance a cycling iterate by, and the stop reason.
+
+    The iterate of sup-norm g_max shrinks by ``rate`` per pair.  If the
+    rest of the budget collapses it, advance by the fewest pairs that do;
+    otherwise by all the pairs left.
+    """
+    limit = COLLAPSE_RATIO * initial_norm
+    if rate**pairs_left * g_max > limit:
+        return pairs_left, STOP_CERTIFIED
+    pairs = max(1, math.ceil(math.log(limit / g_max) / math.log(rate)))
+    # the logarithms round; settle on the exact smallest count
+    while pairs < pairs_left and rate**pairs * g_max > limit:
+        pairs += 1
+    while pairs > 1 and rate ** (pairs - 1) * g_max <= limit:
+        pairs -= 1
+    return pairs, STOP_COLLAPSED
 
 
 def run_descent(
@@ -275,8 +331,8 @@ def run_descent(
 
     precond = Preconditioner(op)
     null = near_null(op)
-    # shrink of w's component per step: steepest descent's asymptotic rate
-    # 2 mu / mu_max, with mu_max <= 1 + lam^2
+    # the span test's shrink of w's component per step, 2 mu / mu_max with
+    # mu_max replaced by 1 + lam^2: an approximation, not a bound
     shrink = 2.0 * null.mu / (1.0 + op.lam**2)
 
     initial_norm = float(np.max(np.abs(g)))
@@ -284,6 +340,9 @@ def run_descent(
     objectives = [0.5 * float(rg @ rg)]
     iterations = 0
     stop_reason = STOP_CAP
+    steps = []  # the last three step sizes
+    streak = 0  # consecutive steps with s_k = s_{k-2}, to CYCLE_TOL
+    coefficients = []  # c along w at the last three steps of the cycle
 
     for _ in range(config.max_iters):
         grad = op.residual_transpose(rg)
@@ -310,16 +369,37 @@ def run_descent(
         objectives.append(phi_next)
         iterations += 1
 
-        if float(np.max(np.abs(g))) <= COLLAPSE_RATIO * initial_norm:
+        g_max = float(np.max(np.abs(g)))
+        if g_max <= COLLAPSE_RATIO * initial_norm:
             stop_reason = STOP_COLLAPSED
             break
-        rest = shrink * (config.max_iters - iterations)
+        rest = config.max_iters - iterations
+
+        steps = [*steps[-2:], s]
+        if len(steps) == 3 and abs(s - steps[0]) <= CYCLE_TOL * abs(s):
+            streak += 1
+        else:
+            streak = 0
+        if streak < CYCLE_STREAK:
+            coefficients = []
+        else:
+            c = _w_coefficient(g, op.apply_generator(g), null)
+            coefficients = [*coefficients[-2:], c]
+            if len(coefficients) == 3 and coefficients[0] != 0.0:
+                rate = c / coefficients[0]
+                if 0.0 < rate < 1.0 and rest > 0 and rest % 2 == 0:
+                    pairs, stop_reason = _cycle_stop(
+                        g_max, initial_norm, rate, rest // 2
+                    )
+                    g = rate**pairs * g
+                    break
+
         if (
-            iterations < config.max_iters
-            and rest <= RATIO_GATE
+            rest > 0
+            and shrink * rest <= RATIO_GATE
             and _in_span(op, g, null)
         ):
-            g = math.exp(-rest) * g
+            g = math.exp(-shrink * rest) * g
             stop_reason = STOP_CERTIFIED
             break
 

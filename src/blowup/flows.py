@@ -239,7 +239,8 @@ def estimate_escape_time(
 
     The ratio test reads a slowly converging tail as survival, so near
     the Osgood boundary a flow that blows up can be reported SURVIVED:
-    B = x ln(1+x)^2 escapes at 1/ln(1+x0), yet its ratio at a cap of 1e8
+    B = x ln(1+x)^2 escapes (at t = 1.9936 from x0 = 1; the closed form
+    1/ln(1+x0) belongs to (1+x) ln(1+x)^2), yet its ratio at a cap of 1e8
     is about 0.93.  B is never evaluated more than one step past the
     state reached.  Evaluation errors of the field propagate, and a probe
     that needs more than 100 000 trial steps raises

@@ -97,7 +97,22 @@ CAPPED_RUNS = [
     ("sin(x)", 200, 10.0, 2.0, GLOBAL, 1.026e-163),
     # the capped run used all 20 000 steps here
     ("sin(x)", 40, 20.0, 1.0, GLOBAL, 7.012e-67),
+    # budget-bound: the capped run used all 20 000 steps, and the descent
+    # now stops by its two-step cycle
+    ("x^2", 40, 10.0, 1.0, LOCAL, 0.3765714370),
+    ("x^2", 100, 10.0, 1.0, LOCAL, 0.5548121348),
+    ("sin(x)", 400, 20.0, 1.0, LOCAL, 0.3995242905),
+    ("sin(x)", 800, 20.0, 1.0, LOCAL, 0.7026142352),
+    ("x^3", 200, 10.0, 1.0, LOCAL, 0.5222756284),
 ]
+# the rows above that stop by the two-step cycle, (text, n, z, lam)
+CYCLE_STOPS = {
+    ("x^2", 40, 10.0, 1.0),
+    ("x^2", 100, 10.0, 1.0),
+    ("sin(x)", 400, 20.0, 1.0),
+    ("sin(x)", 800, 20.0, 1.0),
+    ("x^3", 200, 10.0, 1.0),
+}
 
 
 @pytest.mark.parametrize("text,n,z,lam,label,ratio", CAPPED_RUNS)
@@ -107,6 +122,10 @@ def test_labels_match_the_capped_run(text, n, z, lam, label, ratio):
     if label == LOCAL:
         # unextrapolated, a certified stop can sit up to 4e-3 above these
         assert ev.norm_ratio == pytest.approx(ratio, rel=1e-3)
+    if (text, n, z, lam) in CYCLE_STOPS:
+        # the pair rate extrapolates the cycle exactly
+        assert ev.trace.iterations < 200
+        assert ev.norm_ratio == pytest.approx(ratio, rel=1e-4)
 
 
 def test_lambda_consistency_for_blowup_field():

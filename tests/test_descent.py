@@ -8,6 +8,8 @@ from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 
 from blowup.descent import (
     COLLAPSE_RATIO,
+    CYCLE_STREAK,
+    CYCLE_TOL,
     RATIO_GATE,
     DescentConfig,
     _in_span,
@@ -131,10 +133,16 @@ def test_power_of_two_scaling_is_bitwise_equivariant():
 
 
 @pytest.mark.parametrize(
-    "text,max_iters,reason", [("x^2", 400, "certified"), ("-x^2", 1000, "collapsed")]
+    "text,max_iters,reason",
+    [
+        ("x^2", 400, "certified"),  # by the span test
+        ("-x^2", 1000, "collapsed"),  # predicted from the two-step cycle
+        ("x^2", 20000, "certified"),  # by the cycle, after about 80 steps
+    ],
 )
 def test_power_of_two_scaling_holds_through_early_stops(text, max_iters, reason):
-    # both early stops test quantities relative to the iterate's own size,
+    # every early stop tests quantities relative to the iterate's own size,
+    # and the step sizes and the pair rate do not change when g is scaled,
     # so they fire at the same step of the scaled run
     op = DiscreteGenerator.from_field(parse(text), Grid(10.0, 100), 1.0)
     base = run_descent(op, DescentConfig(max_iters=max_iters))
@@ -233,6 +241,22 @@ def test_certified_stop_advances_the_survivor_over_the_rest_of_the_budget():
     assert shrink == pytest.approx(null.mu * rest, rel=1e-2)
 
 
+@pytest.mark.parametrize(
+    "text,n,z,reason,most",
+    [("-x^2", 800, 40.0, "collapsed", 100), ("x^2", 100, 10.0, "certified", 200)],
+)
+def test_the_two_step_cycle_ends_the_run_early(text, n, z, reason, most):
+    # stepped out, -x^2 collapses only after about 300 steps, and x^2 on
+    # this grid stays outside the span test's tolerance for 16 000
+    op = DiscreteGenerator.from_field(parse(text), Grid(z, n), 1.0)
+    trace = run_descent(op)
+    assert trace.stop_reason == reason
+    assert trace.iterations <= most
+    assert len(trace.objectives) == trace.iterations + 1
+    if reason == "collapsed":
+        assert 0.0 < trace.norm_ratio <= COLLAPSE_RATIO
+
+
 def test_cap_is_reported_as_such():
     op = DiscreteGenerator.from_field(parse("x^2"), Grid(10.0, 100), 1.0)
     trace = run_descent(op, DescentConfig(max_iters=5))
@@ -246,6 +270,8 @@ def reference_descent(op, config):
     ordinary_gradient, optimal_step and objective each apply R to g (or to
     g_next) afresh, and Q is solved through cho_solve_banded.  run_descent
     carries R g forward and calls dpbtrs itself; the arithmetic is the same.
+    The stop tests are run_descent's, the count of pairs to collapse found
+    by a linear search.
     """
     g = initial_vector(op.grid.n + 1, config)
     precond = Preconditioner(op)
@@ -260,6 +286,7 @@ def reference_descent(op, config):
     objectives = [op.objective(g)]
     iterations = 0
     stop_reason = "cap"
+    steps, coefficients, streak = [], [], 0
     for _ in range(config.max_iters):
         grad = op.ordinary_gradient(g)
         if float(np.linalg.norm(grad)) <= config.stop_grad * float(np.linalg.norm(g)):
@@ -278,16 +305,36 @@ def reference_descent(op, config):
         g = g_next
         objectives.append(phi_next)
         iterations += 1
-        if float(np.max(np.abs(g))) <= COLLAPSE_RATIO * initial_norm:
+        g_max = float(np.max(np.abs(g)))
+        limit = COLLAPSE_RATIO * initial_norm
+        if g_max <= limit:
             stop_reason = "collapsed"
             break
-        rest = shrink * (config.max_iters - iterations)
-        if (
-            iterations < config.max_iters
-            and rest <= RATIO_GATE
-            and _in_span(op, g, null)
-        ):
-            g = math.exp(-rest) * g
+        rest = config.max_iters - iterations
+        if len(steps) >= 2 and abs(s - steps[-2]) <= CYCLE_TOL * abs(s):
+            streak += 1
+        else:
+            streak = 0
+        steps.append(s)
+        if streak < CYCLE_STREAK:
+            coefficients = []
+        else:
+            mg = op.apply_generator(g)
+            coefficients.append(float(g @ null.w + mg @ null.mw) / null.wq)
+            if len(coefficients) >= 3 and coefficients[-3] != 0.0:
+                rate = coefficients[-1] / coefficients[-3]
+                if 0.0 < rate < 1.0 and rest > 0 and rest % 2 == 0:
+                    pairs = rest // 2
+                    stop_reason = "certified"
+                    if rate**pairs * g_max <= limit:
+                        pairs = 1
+                        while rate**pairs * g_max > limit:
+                            pairs += 1
+                        stop_reason = "collapsed"
+                    g = rate**pairs * g
+                    break
+        if rest > 0 and shrink * rest <= RATIO_GATE and _in_span(op, g, null):
+            g = math.exp(-shrink * rest) * g
             stop_reason = "certified"
             break
     return g, objectives, iterations, stop_reason
@@ -301,6 +348,9 @@ def reference_descent(op, config):
         ("x^2", 100, 10.0, 1.0, DescentConfig(stop_grad=1e-2), "converged"),
         ("x^2", 40, 10.0, 1.0, DescentConfig(max_iters=30), "cap"),
         ("exp(x)", 200, 40.0, 2.0, DescentConfig(), "stagnated"),
+        # the cases above stop by the span test (certified) and by the cycle
+        # (collapsed); this one is certified by the cycle
+        ("x^2", 100, 10.0, 1.0, DescentConfig(), "certified"),
     ],
 )
 def test_descent_is_bitwise_the_reference_loop(text, n, z, lam, config, reason):
