@@ -39,30 +39,16 @@ from .discrete import (
     Preconditioner,
 )
 from .expr import EvalDomainError, ExprSyntaxError, FieldExpr, parse
-from .flows import (
-    CLOSED_FORM_FLOWS,
-    LOGISTIC,
-    NEGSQ,
-    SQ,
-    EscapeEstimate,
-    IntegrationError,
-    estimate_escape_time,
-    sample_eigenfunction,
-)
+from .flows import EscapeEstimate, IntegrationError, estimate_escape_time
 
 __all__ = [
     "parse",
     "FieldExpr",
     "ExprSyntaxError",
     "EvalDomainError",
-    "SQ",
-    "LOGISTIC",
-    "NEGSQ",
-    "CLOSED_FORM_FLOWS",
     "EscapeEstimate",
     "IntegrationError",
     "estimate_escape_time",
-    "sample_eigenfunction",
     "Grid",
     "DiscreteGenerator",
     "Preconditioner",

@@ -17,7 +17,8 @@ from blowup.cli import main
 from blowup.descent import DescentConfig, optimal_step, run_descent
 from blowup.discrete import DiscreteGenerator, Grid, Preconditioner
 from blowup.expr import parse
-from blowup.flows import CLOSED_FORM_FLOWS, estimate_escape_time
+from blowup.flows import estimate_escape_time
+from closed_forms import CLOSED_FORM_FLOWS
 
 
 def report(num, name, checks):

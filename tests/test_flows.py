@@ -7,17 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from blowup.expr import parse
-from blowup.flows import (
-    BLEW_UP,
-    CLOSED_FORM_FLOWS,
-    LOGISTIC,
-    NEGSQ,
-    SQ,
-    SURVIVED,
-    IntegrationError,
-    estimate_escape_time,
-    sample_eigenfunction,
-)
+from blowup.flows import BLEW_UP, SURVIVED, IntegrationError, estimate_escape_time
+from closed_forms import CLOSED_FORM_FLOWS, LOGISTIC, NEGSQ, SQ, sample_eigenfunction
 
 
 def test_registry():
@@ -168,7 +159,9 @@ def test_estimate_cubic_field():
 def test_estimate_exponential_field_commits_by_timescale():
     # u' = exp(u) escapes from x at exp(-x); exp overflows long before the
     # cap, so the probe must stop on the geometric tail of its time pieces
-    # instead of reaching the cap
+    # (by u = 128) instead of reaching the cap.  The name is older than the
+    # probe: no timescale is read any more.  From x = 0 the first piece,
+    # [0, 1], runs in ln(1 + u), since ln u is unbounded there
     for x in (0.0, 1.0):
         est = estimate_escape_time(parse("exp(x)"), x)
         assert est.escaped
@@ -181,6 +174,21 @@ def test_estimate_argument_validation():
         estimate_escape_time(field, 1.0, horizon=0.0)
     with pytest.raises(ValueError):
         estimate_escape_time(field, 2.0, cap=1.0)
+    # x^2 from 1 escapes at t = 1, inside the default horizon; settings
+    # under which the probe would call it SURVIVED, or report a NaN time,
+    # are refused
+    for bad in (
+        {"tol": 0.0},
+        {"tol": -1e-10},
+        {"h0": -1.0},
+        {"h0": 0.0},
+        {"horizon": math.nan},
+        {"horizon": math.inf},
+        {"cap": math.inf},
+        {"cap": math.nan},
+    ):
+        with pytest.raises(ValueError):
+            estimate_escape_time(field, 1.0, **bad)
 
 
 def test_estimate_propagates_broken_fields():
@@ -257,17 +265,18 @@ def test_power_fields_cross_the_cap_at_the_closed_form_time(p, x0):
 
 
 @pytest.mark.parametrize(
-    "text, x0",
+    "text, x0, most",
     [
-        ("x^3", 9.9),     # stops once its piece times are about 1e-12 of t
-        ("exp(x)", 0.0),
-        ("exp(x)", 10.0),
-        ("sin(x)", 3.1),  # closes on the zero at pi until the step floor
+        ("x^3", 9.9, 4_999),    # stops once its piece times are about 1e-12 of t
+        ("exp(x)", 0.0, 4_999),
+        ("exp(x)", 10.0, 4_999),
+        ("sin(x)", 3.1, 50),    # brackets the zero at pi a doubled Newton step ahead
     ],
+    ids=["x^3-9.9", "exp(x)-0.0", "exp(x)-10.0", "sin(x)-3.1"],
 )
-def test_probe_work_is_bounded(text, x0):
+def test_probe_work_is_bounded(text, x0, most):
     est = estimate_escape_time(parse(text), x0, horizon=HORIZON, cap=CAP)
-    assert est.steps < 5_000
+    assert est.steps <= most
 
 
 def test_probe_gives_up_after_its_trial_budget():
@@ -276,3 +285,79 @@ def test_probe_gives_up_after_its_trial_budget():
     # raises instead of running on
     with pytest.raises(IntegrationError):
         estimate_escape_time(parse("2 + sin(1000*x)"), 0.0, horizon=HORIZON, cap=CAP)
+
+
+# --------------------------------------------------------------------------
+# one path in both directions
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("x0", [-2.0, -0.5])
+def test_falling_quadratic_escapes_to_minus_infinity(x0):
+    # u' = -u^2 from x0 < 0 is x0 / (1 + t x0), which reaches -oo at 1/|x0|
+    est = estimate_escape_time(parse("-x^2"), x0, horizon=HORIZON, cap=CAP)
+    assert est.status == BLEW_UP
+    assert est.time == pytest.approx(1.0 / abs(x0), rel=1e-6)
+    assert est.final_state == -CAP
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.floats(min_value=1.2, max_value=4.0),
+    st.floats(min_value=0.05, max_value=10.0, exclude_min=True),
+)
+def test_mirrored_power_fields_cross_the_cap_at_the_closed_form_time(p, x0):
+    # u' = -((-u)^p) from -x0 is the mirror image of u' = u^p from x0
+    def m(x):
+        return x ** (1.0 - p) / (p - 1.0)
+
+    crossing = m(x0) - m(CAP)
+    assume(abs(crossing - HORIZON) > 1e-6 * HORIZON)
+    est = estimate_escape_time(parse("-((-x)^%r)" % p), -x0, horizon=HORIZON, cap=CAP)
+    if crossing > HORIZON:
+        assert est.status == SURVIVED
+    else:
+        assert est.status == BLEW_UP
+        assert est.time == pytest.approx(crossing, rel=1e-6)
+
+
+def test_a_fixed_point_survives_without_a_step():
+    est = estimate_escape_time(parse("x*(x-1)"), 1.0, horizon=HORIZON, cap=CAP)
+    assert est.status == SURVIVED
+    assert est.time == HORIZON
+    assert est.final_state == 1.0
+    assert est.steps == 0
+
+
+def test_a_look_ahead_outside_the_domain_is_no_bracket():
+    # from 1 the flow of -sqrt(u) reaches 0 at t = 2 and stops there; the
+    # sample a doubled Newton step ahead of a state u lands at -3u, where
+    # x^0.5 is undefined
+    est = estimate_escape_time(parse("-x^0.5"), 1.0, horizon=HORIZON, cap=CAP)
+    assert est.status == SURVIVED
+    assert est.final_state == 0.0
+
+
+def test_a_trajectory_whose_pieces_shrink_slowly_still_reaches_zero():
+    # from 1 the flow of -u^0.9 reaches 0 at t = 10, but its piece times
+    # shrink by 2^-0.1 = 0.93 each, above the tail rule's 0.9: the pieces
+    # run down to the least normal float, where B(0) = 0 stops it
+    est = estimate_escape_time(parse("-x^0.9"), 1.0, horizon=HORIZON, cap=CAP)
+    assert est.status == SURVIVED
+    assert est.final_state == 0.0
+
+
+def test_a_falling_trajectory_crosses_zero():
+    # u' = -e^u reaches 0 at t = 1 - 1/e, passes it, and slows down for good:
+    # the time to -X is e^X - 1/e, so the horizon falls near -ln(50)
+    est = estimate_escape_time(parse("-exp(x)"), 1.0, horizon=HORIZON, cap=CAP)
+    assert est.status == SURVIVED
+    assert est.final_state == pytest.approx(-math.log(HORIZON + 1.0 / math.e), rel=1e-3)
+
+
+def test_a_falling_trajectory_stops_at_a_zero_of_the_field():
+    # from 4 the flow of sin falls toward its zero at pi, and a sample one
+    # doubled Newton step ahead brackets it
+    est = estimate_escape_time(parse("sin(x)"), 4.0, horizon=HORIZON, cap=CAP)
+    assert est.status == SURVIVED
+    assert est.steps <= 50
+    assert math.pi <= est.final_state < 4.0
