@@ -30,14 +30,8 @@ from .classify import (
     classify_sweep,
     cross_validate,
 )
-from .descent import DescentConfig, DescentTrace, optimal_step, run_descent
-from .discrete import (
-    SCHEME_FORWARD_THEN_BACKWARD,
-    SCHEME_UPWIND,
-    DiscreteGenerator,
-    Grid,
-    Preconditioner,
-)
+from .descent import DescentConfig, DescentTrace, run_descent
+from .discrete import DiscreteGenerator, Grid, Preconditioner
 from .expr import EvalDomainError, ExprSyntaxError, FieldExpr, parse
 from .flows import EscapeEstimate, IntegrationError, estimate_escape_time
 
@@ -52,12 +46,9 @@ __all__ = [
     "Grid",
     "DiscreteGenerator",
     "Preconditioner",
-    "SCHEME_UPWIND",
-    "SCHEME_FORWARD_THEN_BACKWARD",
     "DescentConfig",
     "DescentTrace",
     "run_descent",
-    "optimal_step",
     "LOCAL",
     "GLOBAL",
     "INCONCLUSIVE",

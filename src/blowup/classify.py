@@ -9,13 +9,16 @@ collapse to zero, no eigenfunction was found at that lam.
 Per run the evidence is two numbers: the sup-norm ratio ||g_K|| / ||g_0||
 and the relative residual ||lam*g - M g|| / ||g||.  A run is
 
-    Local-evidence   when ratio >= theta_local and residual <= rho_max,
-    Global-evidence  when ratio <= theta_global,
-    Inconclusive     otherwise.
+    Local-evidence   when ratio >= THETA_LOCAL and residual <= RHO_MAX,
+    Global-evidence  when ratio <= THETA_GLOBAL,
+    Inconclusive     otherwise,
 
-The thresholds leave three orders of magnitude of buffer between the two
+with THETA_LOCAL = 0.1, THETA_GLOBAL = 1e-4 and RHO_MAX = 1e-2.  The
+thresholds leave three orders of magnitude of buffer between the two
 verdicts, so borderline arithmetic shows up loudly as Inconclusive rather
-than silently flipping a verdict.
+than silently flipping a verdict.  THETA_GLOBAL sits above the descent's
+COLLAPSE_RATIO, where a collapsing run stops, so a collapsed point reads
+Global.
 
 A sweep repeats the run over grids of several sizes, truncation points
 and eigenvalue candidates, and issues a verdict only on unanimity.
@@ -26,12 +29,14 @@ descent path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
-from .descent import COLLAPSE_RATIO, DescentConfig, run_descent
-from .discrete import SCHEME_UPWIND, DiscreteGenerator, FactorizationError, Grid
+from .descent import DescentConfig, run_descent
+from .discrete import DiscreteGenerator, FactorizationError, Grid
 from .expr import EvalDomainError
 from .flows import IntegrationError, estimate_escape_time
 
@@ -91,25 +96,28 @@ class Evidence:
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """Grid sizes, truncation points, eigenvalue candidates, thresholds."""
+    """Grid sizes, truncation points and eigenvalue candidates."""
 
     ns: tuple = (200, 400, 800)
     zs: tuple = (10.0, 20.0, 40.0)
     lams: tuple = (0.5, 1.0, 2.0)
-    theta_local: float = THETA_LOCAL
-    theta_global: float = THETA_GLOBAL
-    rho_max: float = RHO_MAX
 
     def __post_init__(self):
         if not self.ns or not self.zs or not self.lams:
             raise ValueError("sweep plan needs at least one n, one z and one lam")
-        if any(n < 2 for n in self.ns):
-            raise ValueError(f"grid sizes must be >= 2, got {self.ns!r}")
-        if any(z <= 0 for z in self.zs):
-            raise ValueError(f"truncation points must be positive, got {self.zs!r}")
-        if any(lam <= 0 for lam in self.lams):
-            raise ValueError(f"eigenvalue candidates must be positive, got {self.lams!r}")
-        _check_thresholds(self.theta_local, self.theta_global)
+        for n in self.ns:
+            if not isinstance(n, Integral) or n < 2:
+                raise ValueError(f"grid sizes must be integers >= 2, got {n!r}")
+        for z in self.zs:
+            if not (math.isfinite(z) and z > 0):
+                raise ValueError(
+                    f"truncation points must be finite and positive, got {z!r}"
+                )
+        for lam in self.lams:
+            if not (math.isfinite(lam) and lam > 0):
+                raise ValueError(
+                    f"eigenvalue candidates must be finite and positive, got {lam!r}"
+                )
 
     def points(self):
         """All (n, z, lam) combinations, in deterministic sorted order."""
@@ -140,29 +148,14 @@ class Classification:
     profile: np.ndarray
 
 
-def _check_thresholds(theta_local, theta_global):
-    if not (0.0 < theta_global < theta_local):
-        raise ValueError(
-            f"need 0 < theta_global < theta_local, got "
-            f"{theta_global!r} vs {theta_local!r}"
-        )
-    if theta_global < COLLAPSE_RATIO:
-        # the descent stops once the ratio reaches COLLAPSE_RATIO, so a
-        # lower threshold would leave every collapsed point Inconclusive
-        raise ValueError(
-            f"theta_global must be at least the descent's collapse ratio "
-            f"{COLLAPSE_RATIO!r}, got {theta_global!r}"
-        )
-
-
-def _label(norm_ratio, rel_residual, theta_local, theta_global, rho_max):
+def _label(norm_ratio, rel_residual):
     if (
-        norm_ratio >= theta_local
+        norm_ratio >= THETA_LOCAL
         and rel_residual is not None
-        and rel_residual <= rho_max
+        and rel_residual <= RHO_MAX
     ):
         return LOCAL
-    if norm_ratio <= theta_global:
+    if norm_ratio <= THETA_GLOBAL:
         return GLOBAL
     return INCONCLUSIVE
 
@@ -172,25 +165,17 @@ def classify_once(
     grid: Grid,
     lam: float,
     cfg: DescentConfig = DescentConfig(),
-    scheme: str = SCHEME_UPWIND,
-    theta_local: float = THETA_LOCAL,
-    theta_global: float = THETA_GLOBAL,
-    rho_max: float = RHO_MAX,
 ) -> Evidence:
     """Run one descent and label the outcome.  Errors propagate."""
-    _check_thresholds(theta_local, theta_global)
-    op = DiscreteGenerator.from_field(field_fn, grid, lam, scheme)
+    op = DiscreteGenerator.from_field(field_fn, grid, lam)
     trace = run_descent(op, cfg)
-    label = _label(
-        trace.norm_ratio, trace.rel_residual, theta_local, theta_global, rho_max
-    )
     return Evidence(
         n=grid.n,
         z=grid.z,
         lam=lam,
         norm_ratio=trace.norm_ratio,
         rel_residual=trace.rel_residual,
-        label=label,
+        label=_label(trace.norm_ratio, trace.rel_residual),
         trace=trace,
     )
 
@@ -204,7 +189,6 @@ def classify_sweep(
     field_fn,
     plan: SweepPlan = SweepPlan(),
     cfg: DescentConfig = DescentConfig(),
-    scheme: str = SCHEME_UPWIND,
 ) -> Classification:
     """Classify at every sweep point and combine by unanimity.
 
@@ -216,16 +200,7 @@ def classify_sweep(
     for n, z, lam in plan.points():
         grid = Grid(z, n)
         try:
-            ev = classify_once(
-                field_fn,
-                grid,
-                lam,
-                cfg,
-                scheme,
-                plan.theta_local,
-                plan.theta_global,
-                plan.rho_max,
-            )
+            ev = classify_once(field_fn, grid, lam, cfg)
         except (EvalDomainError, FactorizationError) as exc:
             ev = Evidence(
                 n=n,
@@ -276,6 +251,9 @@ def classify_sweep(
 # --------------------------------------------------------------------------
 
 PROBE_STATUS_FAILED = "failed"
+PROBES = 8
+PROBE_HORIZON = 50.0
+PROBE_CAP = 1e8
 
 
 @dataclass
@@ -324,28 +302,26 @@ class CrossValidation:
         }
 
 
-def probe_states(z: float, count: int = 8):
-    """Midpoints of ``count`` equal subintervals of [0, z]; avoids both ends."""
-    return [z * (2 * k - 1) / (2 * count) for k in range(1, count + 1)]
+def probe_states(z: float):
+    """Midpoints of PROBES equal subintervals of [0, z]; avoids both ends."""
+    return [z * (2 * k - 1) / (2 * PROBES) for k in range(1, PROBES + 1)]
 
 
-def cross_validate(
-    field_fn,
-    classification: Classification,
-    horizon: float = 50.0,
-    cap: float = 1e8,
-) -> CrossValidation:
+def cross_validate(field_fn, classification: Classification) -> CrossValidation:
     """Check a verdict against direct integration of sample trajectories.
 
-    Integrates from 8 probe states spread over the classification grid.
-    A Local verdict agrees when at least one probe blows up within the
-    horizon; a Global verdict agrees when none does.  Disagreements are
-    reported, never raised.
+    Integrates from PROBES probe states spread over the classification
+    grid, each until PROBE_HORIZON or until it passes PROBE_CAP.  A Local
+    verdict agrees when at least one probe blows up within the horizon; a
+    Global verdict agrees when none does.  Disagreements are reported,
+    never raised.
     """
     probes = []
     for x in probe_states(classification.grid.z):
         try:
-            est = estimate_escape_time(field_fn, x, horizon=horizon, cap=cap)
+            est = estimate_escape_time(
+                field_fn, x, horizon=PROBE_HORIZON, cap=PROBE_CAP
+            )
         except (IntegrationError, EvalDomainError) as exc:
             probes.append(ProbeResult(x, PROBE_STATUS_FAILED, None, str(exc)))
             continue

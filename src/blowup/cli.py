@@ -28,7 +28,15 @@ from xml.sax.saxutils import escape as xml_escape
 import numpy as np
 
 from . import expr
-from .classify import INCONCLUSIVE, SweepPlan, classify_sweep, cross_validate
+from .classify import (
+    INCONCLUSIVE,
+    RHO_MAX,
+    THETA_GLOBAL,
+    THETA_LOCAL,
+    SweepPlan,
+    classify_sweep,
+    cross_validate,
+)
 from .descent import DescentConfig
 from .flows import IntegrationError
 
@@ -64,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--field", help="field expression B(x), e.g. 'x^2'")
-    parser.add_argument("--z", type=float, help="truncation point (default 10)")
-    parser.add_argument("--n", type=int, help="number of grid cells (default 400)")
+    parser.add_argument("--z", help="truncation point (default 10)")
+    parser.add_argument("--n", help="number of grid cells (default 400)")
     parser.add_argument(
         "--lambda",
         dest="lam",
@@ -79,16 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="widen to a 3x3x3 sweep over n, z and lambda",
     )
     parser.add_argument("--init", choices=("ones", "random"), help="starting vector")
-    parser.add_argument("--seed", type=int, help="seed for --init random (default 0)")
+    parser.add_argument("--seed", help="seed for --init random (default 0)")
     parser.add_argument("--out", help="output directory (default current)")
     parser.add_argument(
         "--emit",
         metavar="LIST",
         help="comma-separated artifact kinds from csv,json,svg (default all)",
     )
-    parser.add_argument(
-        "--max-iters", type=int, dest="max_iters", help="descent iteration cap"
-    )
+    parser.add_argument("--max-iters", dest="max_iters", help="descent iteration cap")
     parser.add_argument("--config", help="flat key = value config file")
     return parser
 
@@ -127,13 +133,12 @@ def read_config_file(path: str) -> dict:
 
 
 def _parse_lam_list(text: str):
+    if not text.strip():
+        raise ValueError("lambda list is empty")
     try:
-        values = tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"bad lambda list {text!r}") from None
-    if not values:
-        raise ValueError("lambda list is empty")
-    return values
 
 
 def _parse_emit_list(text: str):
@@ -146,8 +151,21 @@ def _parse_emit_list(text: str):
     return kinds
 
 
+def _parse_bool(text) -> bool:
+    value = str(text).lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected one of 1/true/yes or 0/false/no, got {text!r}")
+
+
 def merge_options(args, config: dict) -> RunConfig:
-    """Combine flags and config-file values; flags win."""
+    """Combine flags and config-file values; flags win.
+
+    A flag's value and a config-file value go through the same converter,
+    and a value it rejects is reported under its key.
+    """
     known = {
         "field", "z", "n", "lambda", "sweep", "init", "seed", "out",
         "emit", "max-iters",
@@ -156,48 +174,33 @@ def merge_options(args, config: dict) -> RunConfig:
         if key not in known:
             raise ValueError(f"unknown config key {key!r}")
 
-    def pick(flag_value, key, default, convert=lambda s: s):
-        if flag_value is not None:
-            return flag_value
-        if key in config:
-            return convert(config[key])
-        return default
+    def pick(flag_value, key, default, convert=str):
+        value = config.get(key) if flag_value is None else flag_value
+        if value is None:
+            return default
+        try:
+            return convert(value)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
 
     field_text = pick(args.field, "field", None)
     if field_text is None:
         raise ValueError("a field expression is required (--field or config)")
 
-    sweep = bool(
-        pick(args.sweep, "sweep", False, lambda s: s.lower() in ("1", "true", "yes"))
-    )
+    sweep = pick(args.sweep, "sweep", False, _parse_bool)
     lam_default = SWEEP_LAMS if sweep else DEFAULT_LAMS
-    run = RunConfig(
+    return RunConfig(
         field_text=field_text,
         z=pick(args.z, "z", DEFAULT_Z, float),
         n=pick(args.n, "n", DEFAULT_N, int),
-        lams=pick(
-            args.lam and _parse_lam_list(args.lam), "lambda", lam_default,
-            _parse_lam_list,
-        ),
+        lams=pick(args.lam, "lambda", lam_default, _parse_lam_list),
         sweep=sweep,
         init=pick(args.init, "init", "ones"),
         seed=pick(args.seed, "seed", 0, int),
         out=pick(args.out, "out", "."),
-        emit=pick(
-            args.emit and _parse_emit_list(args.emit), "emit", EMIT_CHOICES,
-            _parse_emit_list,
-        ),
+        emit=pick(args.emit, "emit", EMIT_CHOICES, _parse_emit_list),
         max_iters=pick(args.max_iters, "max-iters", 20000, int),
     )
-    if run.z <= 0:
-        raise ValueError(f"z must be positive, got {run.z!r}")
-    if run.n < 2:
-        raise ValueError(f"n must be at least 2, got {run.n!r}")
-    if run.init not in ("ones", "random"):
-        raise ValueError(f"init must be 'ones' or 'random', got {run.init!r}")
-    if run.max_iters < 1:
-        raise ValueError(f"max-iters must be positive, got {run.max_iters!r}")
-    return run
 
 
 def build_plan(run: RunConfig) -> SweepPlan:
@@ -305,9 +308,9 @@ def build_report(run: RunConfig, plan, classification, validation) -> dict:
             "ns": list(plan.ns),
             "zs": list(plan.zs),
             "lams": list(plan.lams),
-            "theta_local": plan.theta_local,
-            "theta_global": plan.theta_global,
-            "rho_max": plan.rho_max,
+            "theta_local": THETA_LOCAL,
+            "theta_global": THETA_GLOBAL,
+            "rho_max": RHO_MAX,
         },
         "evidence": [ev.as_dict() for ev in classification.evidence],
         "cross_validation": validation.as_dict(),

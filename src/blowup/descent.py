@@ -94,7 +94,6 @@ __all__ = [
     "NearNull",
     "initial_vector",
     "near_null",
-    "optimal_step",
     "run_descent",
     "COLLAPSE_RATIO",
 ]
@@ -136,14 +135,12 @@ class DescentConfig:
     stop_grad   stop when ||grad phi|| <= stop_grad * ||g||
     init        "ones" or "random"
     seed        RNG seed for the random start
-    init_scale  multiplier on the starting vector
     """
 
     max_iters: int = 20000
     stop_grad: float = 1e-12
     init: str = INIT_ONES
     seed: int = 0
-    init_scale: float = 1.0
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -250,24 +247,18 @@ def near_null(op: DiscreteGenerator) -> NearNull:
 
 def initial_vector(size: int, config: DescentConfig) -> np.ndarray:
     if config.init == INIT_RANDOM:
-        g0 = np.random.default_rng(config.seed).standard_normal(size)
-    else:
-        g0 = np.ones(size)
-    return config.init_scale * g0
+        return np.random.default_rng(config.seed).standard_normal(size)
+    return np.ones(size)
 
 
-def optimal_step(op: DiscreteGenerator, g, d):
-    """Exact line-search step along d, and whether the search stagnated.
+def _exact_step(rg, rd):
+    """Exact line-search step along d from R g and R d, and whether the
+    search stagnated.
 
     Returns (s, stagnated).  stagnated is True when R d = 0, i.e. the
     direction carries no residual change and the quadratic has no
     minimizer along it; the caller should stop rather than divide by zero.
     """
-    return _exact_step(op.residual(g), op.residual(d))
-
-
-def _exact_step(rg, rd):
-    """optimal_step from R g and R d."""
     den = float(rd @ rd)
     if den == 0.0:
         return 0.0, True

@@ -6,18 +6,15 @@ differences, giving a matrix D, and the generator becomes
 
     (M g)(j) = v_j * (D g)(j),        v_j = B(x_j).
 
-Two stencil choices are offered.  ``forward-then-backward`` uses the
-forward difference on rows 0..n-1 and the backward difference on row n.
-``upwind`` (the default) picks the direction row by row from the sign of
-the field: forward where v_j >= 0, backward where v_j < 0, falling back to
-forward at the left boundary and backward at the right.  The two coincide
-whenever the field is nonnegative on the grid.  Against fields that turn
-negative, the fixed forward stencil differences against the flow and
-supports spurious oscillating near-null modes that a descent search will
-happily converge to; the upwind stencil does not.
+The stencil is upwind: row by row it differences along the sign of the
+field, forward where v_j >= 0 and backward where v_j < 0, falling back to
+forward at the left boundary and backward at the right.  A fixed forward
+stencil would difference against the flow wherever the field turns
+negative and admit spurious oscillating near-null modes that a descent
+search converges to; the upwind stencil does not.
 
-Both stencils are captured by one representation: a left-endpoint index
-l_j per row, with (D g)(j) = (g[l_j + 1] - g[l_j]) / h.
+The stencil is stored as a left-endpoint index l_j per row, with
+(D g)(j) = (g[l_j + 1] - g[l_j]) / h.
 
 The eigenvalue-shifted residual operator is R = lam*I - M.  The descent
 preconditioner is Q = I + (v D)^T (v D): symmetric tridiagonal, positive
@@ -26,59 +23,47 @@ definite, assembled in banded form and factored by a banded Cholesky.
 
 from __future__ import annotations
 
+import math
+from numbers import Integral
+
 import numpy as np
 from scipy.linalg import cholesky_banded, lapack
 
 __all__ = [
     "Grid",
-    "SCHEME_UPWIND",
-    "SCHEME_FORWARD_THEN_BACKWARD",
-    "SCHEMES",
     "DiscreteGenerator",
     "Preconditioner",
     "FactorizationError",
 ]
-
-SCHEME_UPWIND = "upwind"
-SCHEME_FORWARD_THEN_BACKWARD = "forward-then-backward"
-SCHEMES = (SCHEME_UPWIND, SCHEME_FORWARD_THEN_BACKWARD)
 
 
 class Grid:
     """Uniform grid of n+1 nodes on [0, z]; x_j = z*j/n, spacing h = z/n."""
 
     def __init__(self, z: float, n: int):
-        if not (z > 0.0):
-            raise ValueError(f"truncation point must be positive, got {z!r}")
-        if n < 2:
-            raise ValueError(f"need at least 2 cells, got n={n!r}")
+        if not (math.isfinite(z) and z > 0.0):
+            raise ValueError(f"truncation point must be finite and positive, got {z!r}")
+        if not isinstance(n, Integral) or n < 2:
+            raise ValueError(f"need an integer number of cells >= 2, got n={n!r}")
         self.z = float(z)
         self.n = int(n)
         self.h = self.z / self.n
         self.nodes = (self.z * np.arange(self.n + 1)) / self.n
 
-    def __len__(self):
-        return self.n + 1
-
     def __repr__(self):
         return f"Grid(z={self.z!r}, n={self.n})"
 
 
-def _left_endpoints(v, scheme):
-    """Per-row left endpoint l_j of the difference stencil.
+def _left_endpoints(v):
+    """Per-row left endpoint l_j of the upwind stencil.
 
     Row j differences g over [l_j, l_j + 1]; l_j is j (forward) or j - 1
     (backward), clamped so the stencil stays inside the grid.
     """
     n = len(v) - 1
     idx = np.arange(n + 1)
-    if scheme == SCHEME_FORWARD_THEN_BACKWARD:
-        left = idx.copy()
-    elif scheme == SCHEME_UPWIND:
-        left = np.where(np.asarray(v) >= 0.0, idx, idx - 1)
-        left[0] = 0
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    left = np.where(np.asarray(v) >= 0.0, idx, idx - 1)
+    left[0] = 0
     left[n] = n - 1
     return left
 
@@ -87,11 +72,11 @@ class DiscreteGenerator:
     """The operators M = v * D and R = lam*I - M on a fixed grid.
 
     Holds the node field values ``v`` (v_j = B(x_j)), the eigenvalue
-    candidate ``lam``, and the stencil.  All applications are linear in
-    their vector argument and never form a dense matrix.
+    candidate ``lam``, and the upwind stencil.  All applications are linear
+    in their vector argument and never form a dense matrix.
     """
 
-    def __init__(self, grid: Grid, v, lam: float, scheme: str = SCHEME_UPWIND):
+    def __init__(self, grid: Grid, v, lam: float):
         v = np.asarray(v, dtype=float)
         if v.shape != (grid.n + 1,):
             raise ValueError(
@@ -103,19 +88,18 @@ class DiscreteGenerator:
         self.grid = grid
         self.v = v
         self.lam = float(lam)
-        self.scheme = scheme
-        self._left = _left_endpoints(v, scheme)
+        self._left = _left_endpoints(v)
 
     @classmethod
-    def from_field(cls, field, grid: Grid, lam: float, scheme: str = SCHEME_UPWIND):
+    def from_field(cls, field, grid: Grid, lam: float):
         """Sample a callable field at the grid nodes."""
         v = np.array([field(x) for x in grid.nodes], dtype=float)
-        return cls(grid, v, lam, scheme)
+        return cls(grid, v, lam)
 
     # -- core linear maps ---------------------------------------------------
 
     def apply_difference(self, g):
-        """D g: one-sided first differences, row stencils per the scheme."""
+        """D g: one-sided first differences, upwind row stencils."""
         g = np.asarray(g, dtype=float)
         left = self._left
         return (g[left + 1] - g[left]) / self.grid.h
@@ -159,33 +143,10 @@ class DiscreteGenerator:
         np.add.at(ab, (rows - left, left + 1), -m)
         return ab
 
-    # -- descent quantities -------------------------------------------------
-
-    def objective(self, g) -> float:
-        """phi(g) = 0.5 * ||R g||^2."""
-        r = self.residual(g)
-        return 0.5 * float(r @ r)
-
-    def ordinary_gradient(self, g):
-        """grad phi = R^T (R g)."""
-        return self.residual_transpose(self.residual(g))
-
-    # -- dense forms (small-problem cross-checks) ---------------------------
-
-    def difference_matrix(self):
-        """Dense D, built column by column through apply_difference."""
-        n1 = self.grid.n + 1
-        cols = [self.apply_difference(e) for e in np.eye(n1)]
-        return np.column_stack(cols)
-
-    def generator_matrix(self):
-        """Dense M = diag(v) @ D."""
-        return self.v[:, None] * self.difference_matrix()
-
     def __repr__(self):
         return (
             f"DiscreteGenerator(n={self.grid.n}, z={self.grid.z!r}, "
-            f"lam={self.lam!r}, scheme={self.scheme!r})"
+            f"lam={self.lam!r})"
         )
 
 
@@ -232,14 +193,6 @@ class Preconditioner:
         except np.linalg.LinAlgError as exc:
             raise FactorizationError(str(exc)) from exc
 
-    def apply(self, g):
-        """Q g, from the stored bands."""
-        g = np.asarray(g, dtype=float)
-        out = self.diagonal * g
-        out[:-1] += self.off_diagonal * g[1:]
-        out[1:] += self.off_diagonal * g[:-1]
-        return out
-
     def solve(self, rhs):
         """Q^{-1} rhs via the banded Cholesky factor.
 
@@ -253,11 +206,3 @@ class Preconditioner:
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of dpbtrs")
         return x
-
-    def dense(self):
-        """Dense Q, for small-problem cross-checks."""
-        return (
-            np.diag(self.diagonal)
-            + np.diag(self.off_diagonal, 1)
-            + np.diag(self.off_diagonal, -1)
-        )

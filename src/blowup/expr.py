@@ -260,20 +260,6 @@ def _eval_node(node, x):
     raise AssertionError(f"unknown node {op!r}")
 
 
-def _to_text(node):
-    """Fully parenthesized canonical form; reparses to an equivalent AST."""
-    op = node[0]
-    if op == "num":
-        return repr(node[1])
-    if op == "var":
-        return "x"
-    if op == "neg":
-        return f"(-{_to_text(node[1])})"
-    if op == "call":
-        return f"{node[1]}({_to_text(node[2])})"
-    return f"({_to_text(node[1])} {op} {_to_text(node[2])})"
-
-
 # x^2, x^3 and x^4 as the products _int_pow forms, in its order
 _INLINE_POWERS = {
     2.0: "({0} * {0})",
@@ -325,10 +311,10 @@ _COMPILE_GLOBALS = {
 class FieldExpr:
     """A parsed field expression.  Immutable; evaluation is pure.
 
-    Call the instance (or :meth:`eval_at`) to evaluate at a scalar.  The
-    call path runs through a lambda compiled from the AST; it performs the
-    same operations in the same order as the reference tree walk
-    (:meth:`eval_tree`), so the two agree bit for bit.
+    Call the instance to evaluate at a scalar.  The call path runs
+    through a lambda compiled from the AST; it performs the same operations
+    in the same order as the reference tree walk (:meth:`eval_tree`), so
+    the two agree bit for bit.
     """
 
     __slots__ = ("ast", "text", "_fn")
@@ -344,19 +330,12 @@ class FieldExpr:
             raise EvalDomainError(f"{self.text!r} is not finite at x={x!r}")
         return value
 
-    def eval_at(self, x: float) -> float:
-        return self(x)
-
     def eval_tree(self, x: float) -> float:
         """Reference tree-walk evaluation (kept for cross-checking)."""
         value = _eval_node(self.ast, x)
         if not math.isfinite(value):
             raise EvalDomainError(f"{self.text!r} is not finite at x={x!r}")
         return value
-
-    def canonical(self) -> str:
-        """Fully parenthesized text form; ``parse(canonical())`` evaluates identically."""
-        return _to_text(self.ast)
 
     def __repr__(self):
         return f"FieldExpr({self.text!r})"

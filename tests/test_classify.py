@@ -7,14 +7,18 @@ from blowup.classify import (
     GLOBAL,
     INCONCLUSIVE,
     LOCAL,
+    RHO_MAX,
+    THETA_GLOBAL,
+    THETA_LOCAL,
     SweepPlan,
+    _label,
     classify_once,
     classify_sweep,
     cross_validate,
     probe_states,
 )
-from blowup.descent import DescentConfig
-from blowup.discrete import Grid
+from blowup.descent import COLLAPSE_RATIO, DescentConfig, run_descent
+from blowup.discrete import DiscreteGenerator, Grid
 from blowup.expr import parse
 
 # small grids keep each descent fast; the full-size runs live in the
@@ -46,30 +50,27 @@ def test_classify_once_zero_field():
 
 
 def test_classify_once_respects_thresholds():
-    # an absurd local threshold forces the same run into the buffer zone
-    ev = classify_once(parse("x^2"), Grid(10.0, 100), 1.0, theta_local=0.99)
+    # one step leaves the run in the buffer zone: ratio 0.569 is above
+    # THETA_LOCAL, but the residual 0.169 is above RHO_MAX
+    ev = classify_once(parse("x^2"), Grid(10.0, 100), 1.0, DescentConfig(max_iters=1))
+    assert ev.norm_ratio >= THETA_LOCAL
+    assert ev.rel_residual > RHO_MAX
     assert ev.label == INCONCLUSIVE
 
 
-def test_classify_once_validates_thresholds_like_the_plan():
-    # the descent stops collapsing iterates at a ratio of 1e-6, so a lower
-    # Global threshold would read a Global field Inconclusive
-    with pytest.raises(ValueError):
-        classify_once(parse("-x^2"), Grid(10.0, 100), 1.0, theta_global=1e-7)
-    with pytest.raises(ValueError):
-        classify_once(parse("-x^2"), Grid(10.0, 100), 1.0, theta_local=1e-5,
-                      theta_global=1e-4)
-    ev = classify_once(parse("-x^2"), Grid(10.0, 100), 1.0, theta_global=1e-6)
-    assert ev.label == GLOBAL
+def test_thresholds_leave_a_buffer_above_the_collapse_ratio():
+    # the descent stops collapsing iterates at COLLAPSE_RATIO, so a Global
+    # threshold below it would read every Global field Inconclusive
+    assert 0.0 < THETA_GLOBAL < THETA_LOCAL
+    assert THETA_GLOBAL >= COLLAPSE_RATIO
 
 
 def test_verdict_invariant_under_start_scaling():
     for text in ("x^2", "-x^2"):
         plain = classify_once(parse(text), Grid(10.0, 100), 1.0)
-        scaled = classify_once(
-            parse(text), Grid(10.0, 100), 1.0, DescentConfig(init_scale=7.0)
-        )
-        assert scaled.label == plain.label
+        op = DiscreteGenerator.from_field(parse(text), Grid(10.0, 100), 1.0)
+        scaled = run_descent(op, g0=7.0 * np.ones(101))
+        assert _label(scaled.norm_ratio, scaled.rel_residual) == plain.label
 
 
 # Label and norm ratio of descents that ran to the 20 000-iteration cap,
@@ -172,11 +173,13 @@ def test_plan_validation():
         SweepPlan(lams=(-1.0,))
     with pytest.raises(ValueError):
         SweepPlan(ns=(1,))
-    with pytest.raises(ValueError):
-        SweepPlan(theta_local=1e-5, theta_global=1e-4)
-    with pytest.raises(ValueError):  # below the descent's collapse ratio
-        SweepPlan(theta_global=1e-7)
-    SweepPlan(theta_global=1e-6)
+    with pytest.raises(ValueError, match="40.7"):
+        SweepPlan(ns=(40.7,))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=repr(bad)):
+            SweepPlan(lams=(bad,))
+        with pytest.raises(ValueError, match=repr(bad)):
+            SweepPlan(zs=(bad,))
 
 
 # --------------------------------------------------------------------------
@@ -324,8 +327,7 @@ def test_cross_validate_catches_the_false_local_of_linear_growth():
 
 def test_cross_validate_inconclusive_has_no_agreement():
     field = parse("x^2")
-    plan = SweepPlan(ns=(100,), zs=(10.0,), lams=(1.0,), theta_local=0.99)
-    c = classify_sweep(field, plan)
+    c = classify_sweep(field, FAST, DescentConfig(max_iters=1))
     assert c.verdict == INCONCLUSIVE
     report = cross_validate(field, c)
     assert report.agreement is None

@@ -76,6 +76,38 @@ def test_invalid_values_exit_one(tmp_path, capsys):
     assert run_cli(["--field", "x^2", "--lambda", "oops"], capsys)[0] == 1
     assert run_cli(["--field", "x^2", "--emit", "pdf"], capsys)[0] == 1
     assert run_cli(["--field", "x^2", "--max-iters", "0"], capsys)[0] == 1
+    for flag, value in (("--lambda", "nan"), ("--lambda", "inf"), ("--z", "inf")):
+        code, _, err = run_cli(["--field", "x^2", flag, value], capsys)
+        assert code == 1
+        assert f"got {value}" in err
+
+
+def test_empty_lists_are_rejected_from_flags_and_files(tmp_path, capsys):
+    for key, message in (("emit", "emit list is empty"), ("lambda", "lambda list is empty")):
+        code, out, err = run_cli(
+            ["--field", "x^2", *FAST, f"--{key}", "", "--out", str(tmp_path)], capsys
+        )
+        assert code == 1
+        assert message in err
+        assert "wrote" not in out
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"field = x^2\n{key} =\n")
+        code, _, err = run_cli(["--config", str(cfg)], capsys)
+        assert code == 1
+        assert message in err
+
+
+def test_config_sweep_accepts_only_boolean_words(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("field = x^2\nsweep = ture\n")
+    code, _, err = run_cli(["--config", str(cfg)], capsys)
+    assert code == 1
+    assert "ture" in err
+    cfg.write_text("field = x^2\nz = 10\nn = 100\nsweep = No\n")
+    code, _, _ = run_cli(["--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert len(report["evidence"]) == 1
 
 
 # --------------------------------------------------------------------------
@@ -113,6 +145,10 @@ def test_report_json_contents(tmp_path, capsys):
     assert len(report["evidence"]) == 1
     ev = report["evidence"][0]
     assert set(ev) == {"n", "z", "lam", "norm_ratio", "rel_residual", "label", "error"}
+    plan = report["plan"]
+    assert plan["theta_local"] == 0.1
+    assert plan["theta_global"] == 1e-4
+    assert plan["rho_max"] == 0.01
     assert report["cross_validation"]["agreement"] is True
     assert len(report["cross_validation"]["probes"]) == 8
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 
+import dense
 from blowup.descent import (
     COLLAPSE_RATIO,
     CYCLE_STREAK,
@@ -15,7 +16,6 @@ from blowup.descent import (
     _in_span,
     initial_vector,
     near_null,
-    optimal_step,
     run_descent,
 )
 from blowup.discrete import DiscreteGenerator, Grid, Preconditioner
@@ -42,10 +42,10 @@ def test_optimal_step_identity_residual():
     # v = 0, lam = 1 makes R the identity; stepping by 1 along g lands on 0
     op = zero_field_operator()
     g = np.linspace(1.0, 2.0, 9)
-    s, stalled = optimal_step(op, g, g)
+    s, stalled = dense.exact_step(op, g, g)
     assert s == 1.0
     assert not stalled
-    assert op.objective(g - s * g) == 0.0
+    assert dense.objective(op, g - s * g) == 0.0
 
 
 def test_optimal_step_dominates_line_scan():
@@ -53,17 +53,17 @@ def test_optimal_step_dominates_line_scan():
     op = random_operator(rng, n=5)  # 6 nodes
     g = rng.standard_normal(6)
     d = rng.standard_normal(6)
-    s_star, stalled = optimal_step(op, g, d)
+    s_star, stalled = dense.exact_step(op, g, d)
     assert not stalled
-    best = op.objective(g - s_star * d)
+    best = dense.objective(op, g - s_star * d)
     for s in np.linspace(-2 * s_star, 2 * s_star, 50):
-        assert best <= op.objective(g - s * d) + 1e-12 * (1.0 + best)
+        assert best <= dense.objective(op, g - s * d) + 1e-12 * (1.0 + best)
 
 
 def test_optimal_step_flags_stagnation():
     op = zero_field_operator()
     g = np.ones(9)
-    s, stalled = optimal_step(op, g, np.zeros(9))  # R d = 0 while R g != 0
+    s, stalled = dense.exact_step(op, g, np.zeros(9))  # R d = 0 while R g != 0
     assert s == 0.0
     assert stalled
 
@@ -104,7 +104,7 @@ def test_trace_records_initial_objective_and_iteration_count():
     op = zero_field_operator(lam=1.0)
     g0 = np.ones(9)
     trace = run_descent(op, g0=g0)
-    assert trace.objectives[0] == op.objective(g0)
+    assert trace.objectives[0] == dense.objective(op, g0)
     assert len(trace.objectives) == trace.iterations + 1
     assert trace.initial_norm == 1.0
 
@@ -125,8 +125,9 @@ def test_power_of_two_scaling_is_bitwise_equivariant():
     # iterate sequence must scale exactly
     grid = Grid(10.0, 50)
     op = DiscreteGenerator.from_field(parse("x^2"), grid, 1.0)
-    base = run_descent(op, DescentConfig(max_iters=100))
-    scaled = run_descent(op, DescentConfig(max_iters=100, init_scale=4.0))
+    cfg = DescentConfig(max_iters=100)
+    base = run_descent(op, cfg)
+    scaled = run_descent(op, cfg, g0=4.0 * np.ones(51))
     assert scaled.iterations == base.iterations
     assert np.array_equal(scaled.g_final, 4.0 * base.g_final)
     assert scaled.objectives == [16.0 * p for p in base.objectives]
@@ -145,8 +146,9 @@ def test_power_of_two_scaling_holds_through_early_stops(text, max_iters, reason)
     # and the step sizes and the pair rate do not change when g is scaled,
     # so they fire at the same step of the scaled run
     op = DiscreteGenerator.from_field(parse(text), Grid(10.0, 100), 1.0)
-    base = run_descent(op, DescentConfig(max_iters=max_iters))
-    scaled = run_descent(op, DescentConfig(max_iters=max_iters, init_scale=4.0))
+    cfg = DescentConfig(max_iters=max_iters)
+    base = run_descent(op, cfg)
+    scaled = run_descent(op, cfg, g0=4.0 * np.ones(101))
     assert base.stop_reason == scaled.stop_reason == reason
     assert scaled.iterations == base.iterations
     assert np.array_equal(scaled.g_final, 4.0 * base.g_final)
@@ -155,8 +157,9 @@ def test_power_of_two_scaling_holds_through_early_stops(text, max_iters, reason)
 def test_scale_equivariance_of_trace_summary_under_seven():
     grid = Grid(10.0, 100)
     op = DiscreteGenerator.from_field(parse("x^2"), grid, 1.0)
-    base = run_descent(op, DescentConfig(max_iters=400))
-    scaled = run_descent(op, DescentConfig(max_iters=400, init_scale=7.0))
+    cfg = DescentConfig(max_iters=400)
+    base = run_descent(op, cfg)
+    scaled = run_descent(op, cfg, g0=7.0 * np.ones(101))
     assert scaled.norm_ratio == pytest.approx(base.norm_ratio, rel=1e-12)
     assert scaled.rel_residual == pytest.approx(base.rel_residual, rel=1e-12)
     assert scaled.final_norm == pytest.approx(7.0 * base.final_norm, rel=1e-12)
@@ -189,8 +192,6 @@ def test_initial_vector_modes():
     r3 = initial_vector(5, DescentConfig(init="random", seed=8))
     np.testing.assert_array_equal(r1, r2)
     assert not np.array_equal(r1, r3)
-    doubled = initial_vector(5, DescentConfig(init="random", seed=7, init_scale=2.0))
-    np.testing.assert_array_equal(doubled, 2.0 * r1)
 
 
 def test_config_validation():
@@ -267,8 +268,8 @@ def test_cap_is_reported_as_such():
 def reference_descent(op, config):
     """The descent loop in its first form, R g applied four times a step.
 
-    ordinary_gradient, optimal_step and objective each apply R to g (or to
-    g_next) afresh, and Q is solved through cho_solve_banded.  run_descent
+    dense.gradient, dense.exact_step and dense.objective each apply R to g
+    (or to g_next) afresh, and Q is solved through cho_solve_banded.  run_descent
     carries R g forward and calls dpbtrs itself; the arithmetic is the same.
     The stop tests are run_descent's, the count of pairs to collapse found
     by a linear search.
@@ -283,22 +284,22 @@ def reference_descent(op, config):
     shrink = 2.0 * null.mu / (1.0 + op.lam**2)
 
     initial_norm = float(np.max(np.abs(g)))
-    objectives = [op.objective(g)]
+    objectives = [dense.objective(op, g)]
     iterations = 0
     stop_reason = "cap"
     steps, coefficients, streak = [], [], 0
     for _ in range(config.max_iters):
-        grad = op.ordinary_gradient(g)
+        grad = dense.gradient(op, g)
         if float(np.linalg.norm(grad)) <= config.stop_grad * float(np.linalg.norm(g)):
             stop_reason = "converged"
             break
         d = cho_solve_banded((factor, False), grad)
-        s, stalled = optimal_step(op, g, d)
+        s, stalled = dense.exact_step(op, g, d)
         if stalled:
             stop_reason = "stagnated"
             break
         g_next = g - s * d
-        phi_next = op.objective(g_next)
+        phi_next = dense.objective(op, g_next)
         if phi_next > objectives[-1]:
             stop_reason = "stagnated"
             break
@@ -368,10 +369,6 @@ def test_descent_is_bitwise_the_reference_loop(text, n, z, lam, config, reason):
 # near_null
 # --------------------------------------------------------------------------
 
-def dense_residual(op):
-    return op.lam * np.eye(op.grid.n + 1) - op.generator_matrix()
-
-
 def test_near_null_survives_an_exactly_singular_residual():
     # B = x makes v_j / h = j on every grid, and lam = 1 an exact eigenvalue
     # of R's recurrence: the banded solve hits a zero pivot
@@ -381,7 +378,7 @@ def test_near_null_survives_an_exactly_singular_residual():
     null = near_null(op)
     assert np.all(np.isfinite(null.w))
     assert np.linalg.norm(null.w) == pytest.approx(1.0, rel=1e-12)
-    assert np.linalg.norm(dense_residual(op) @ null.w) <= 1e-10
+    assert np.linalg.norm(dense.residual(op) @ null.w) <= 1e-10
 
 
 @pytest.mark.parametrize("text", ["x^2", "x*(x-1)", "x", "x^3"])
@@ -389,7 +386,7 @@ def test_near_null_survives_an_exactly_singular_residual():
 @pytest.mark.parametrize("n", [20, 60])
 def test_near_null_matches_the_dense_smallest_singular_vector(text, lam, n):
     op = DiscreteGenerator.from_field(parse(text), Grid(10.0, n), lam)
-    R = dense_residual(op)
+    R = dense.residual(op)
     _, sigmas, vt = np.linalg.svd(R)
     v = vt[-1]
     null = near_null(op)
@@ -399,7 +396,7 @@ def test_near_null_matches_the_dense_smallest_singular_vector(text, lam, n):
     assert err <= (sigmas[-1] / sigmas[-2]) ** 4 + 1e-10
     rw = R @ null.w
     assert np.linalg.norm(rw) == pytest.approx(sigmas[-1], rel=1e-6, abs=1e-10)
-    Q = Preconditioner(op).dense()
+    Q = dense.preconditioner(op)
     assert null.wq == pytest.approx(float(null.w @ Q @ null.w), rel=1e-8)
     assert null.mu == pytest.approx(
         float(rw @ rw) / float(null.w @ Q @ null.w), rel=1e-8, abs=1e-20

@@ -1,7 +1,7 @@
-"""Grid, difference stencils, generator, and preconditioner.
+"""Grid, the upwind difference stencil, generator, and preconditioner.
 
-The dense oracles here are built independently, with explicit Python
-loops straight from the stencil definitions, and never call the
+The dense oracles (``dense.py``) are built independently, with explicit
+Python loops straight from the stencil definition, and never call the
 matrix-free code paths they are checking.
 """
 
@@ -10,40 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from blowup.discrete import (
-    SCHEME_FORWARD_THEN_BACKWARD,
-    SCHEME_UPWIND,
-    DiscreteGenerator,
-    FactorizationError,
-    Grid,
-    Preconditioner,
-)
+import dense
+from blowup.discrete import DiscreteGenerator, FactorizationError, Grid, Preconditioner
 from blowup.expr import parse
 
 
-def dense_difference(v, h, scheme):
-    """Reference dense D: forward rows, backward where the scheme says so."""
-    n = len(v) - 1
-    D = np.zeros((n + 1, n + 1))
-    for j in range(n + 1):
-        if scheme == SCHEME_FORWARD_THEN_BACKWARD:
-            backward = j == n
-        else:
-            backward = (j == n) or (v[j] < 0.0 and j > 0)
-        if backward:
-            D[j, j - 1] = -1.0 / h
-            D[j, j] = 1.0 / h
-        else:
-            D[j, j] = -1.0 / h
-            D[j, j + 1] = 1.0 / h
-    return D
-
-
-def make_operator(rng, n=12, z=6.0, scheme=SCHEME_UPWIND):
+def make_operator(rng, n=12, z=6.0):
     grid = Grid(z, n)
     v = rng.standard_normal(n + 1)
     lam = float(rng.uniform(0.3, 3.0))
-    return DiscreteGenerator(grid, v, lam, scheme)
+    return DiscreteGenerator(grid, v, lam)
 
 
 # --------------------------------------------------------------------------
@@ -52,7 +28,7 @@ def make_operator(rng, n=12, z=6.0, scheme=SCHEME_UPWIND):
 
 def test_grid_nodes():
     g = Grid(10.0, 4)
-    assert len(g) == 5
+    assert len(g.nodes) == 5
     assert g.h == 2.5
     np.testing.assert_array_equal(g.nodes, [0.0, 2.5, 5.0, 7.5, 10.0])
 
@@ -64,6 +40,11 @@ def test_grid_validation():
         Grid(-1.0, 10)
     with pytest.raises(ValueError):
         Grid(10.0, 1)
+    for z in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match=repr(z)):
+            Grid(z, 10)
+    with pytest.raises(ValueError, match="40.7"):
+        Grid(10.0, 40.7)
 
 
 # --------------------------------------------------------------------------
@@ -78,10 +59,9 @@ def test_difference_kills_constants():
 
 def test_difference_is_exact_on_linear_functions():
     grid = Grid(8.0, 16)
-    for scheme in (SCHEME_UPWIND, SCHEME_FORWARD_THEN_BACKWARD):
-        op = DiscreteGenerator.from_field(parse("x*(x-1)"), grid, 1.0, scheme)
-        g = 2.0 - 3.0 * grid.nodes
-        np.testing.assert_allclose(op.apply_difference(g), -3.0, rtol=1e-13)
+    op = DiscreteGenerator.from_field(parse("x*(x-1)"), grid, 1.0)
+    g = 2.0 - 3.0 * grid.nodes
+    np.testing.assert_allclose(op.apply_difference(g), -3.0, rtol=1e-13)
 
 
 def test_difference_on_squares_spacing_two():
@@ -107,15 +87,15 @@ def test_zero_field_makes_identity_residual():
     op = DiscreteGenerator(grid, np.zeros(9), 1.0)
     g = np.linspace(-1.0, 1.0, 9)
     np.testing.assert_array_equal(op.residual(g), g)
-    np.testing.assert_array_equal(op.ordinary_gradient(g), g)
+    np.testing.assert_array_equal(dense.gradient(op, g), g)
 
 
 def test_objective_zero_field():
     grid = Grid(4.0, 3)
     op = DiscreteGenerator(grid, np.zeros(4), 1.0)
     g = np.array([1.0, 0.0, -1.0, 0.0])  # sum of squares 2
-    assert op.objective(g) == 1.0
-    assert op.objective(np.zeros(4)) == 0.0
+    assert dense.objective(op, g) == 1.0
+    assert dense.objective(op, np.zeros(4)) == 0.0
 
 
 def test_residual_at_field_zeros_is_lambda_g():
@@ -129,35 +109,24 @@ def test_residual_at_field_zeros_is_lambda_g():
         assert r[j] == lam * g[j]
 
 
-def test_schemes_agree_for_nonnegative_fields():
-    grid = Grid(10.0, 30)
-    g = np.cos(grid.nodes)
-    up = DiscreteGenerator.from_field(parse("x^2"), grid, 1.0, SCHEME_UPWIND)
-    fb = DiscreteGenerator.from_field(
-        parse("x^2"), grid, 1.0, SCHEME_FORWARD_THEN_BACKWARD
-    )
-    np.testing.assert_array_equal(up.apply_generator(g), fb.apply_generator(g))
-
-
-def test_matches_dense_difference_both_schemes():
+def test_matches_dense_difference():
     rng = np.random.default_rng(7)
-    for scheme in (SCHEME_UPWIND, SCHEME_FORWARD_THEN_BACKWARD):
-        for _ in range(5):
-            op = make_operator(rng, scheme=scheme)
-            D = dense_difference(op.v, op.grid.h, scheme)
-            g = rng.standard_normal(len(op.v))
-            np.testing.assert_allclose(op.apply_difference(g), D @ g, rtol=1e-12)
-            np.testing.assert_allclose(
-                op.apply_difference_transpose(g), D.T @ g, rtol=1e-12, atol=1e-12
-            )
-            np.testing.assert_allclose(
-                op.residual(g), op.lam * g - op.v * (D @ g), rtol=1e-12, atol=1e-12
-            )
-            R = op.lam * np.eye(len(op.v)) - op.v[:, None] * D
-            ab = op.residual_bands()
-            for i, j in np.ndindex(R.shape):
-                want = ab[1 + i - j, j] if abs(i - j) <= 1 else 0.0
-                assert R[i, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    for _ in range(5):
+        op = make_operator(rng)
+        D = dense.difference(op)
+        g = rng.standard_normal(len(op.v))
+        np.testing.assert_allclose(op.apply_difference(g), D @ g, rtol=1e-12)
+        np.testing.assert_allclose(
+            op.apply_difference_transpose(g), D.T @ g, rtol=1e-12, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            op.residual(g), op.lam * g - op.v * (D @ g), rtol=1e-12, atol=1e-12
+        )
+        R = op.lam * np.eye(len(op.v)) - op.v[:, None] * D
+        ab = op.residual_bands()
+        for i, j in np.ndindex(R.shape):
+            want = ab[1 + i - j, j] if abs(i - j) <= 1 else 0.0
+            assert R[i, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_transpose_is_adjoint():
@@ -243,22 +212,20 @@ def test_preconditioner_matches_dense_tiny_case():
     grid = Grid(10.0, 5)
     op = DiscreteGenerator.from_field(parse("x^2"), grid, 1.0)
     P = Preconditioner(op)
-    D = dense_difference(op.v, grid.h, SCHEME_UPWIND)
-    C = op.v[:, None] * D
-    Q = np.eye(6) + C.T @ C
-    np.testing.assert_allclose(P.dense(), Q, rtol=1e-12, atol=1e-12)
+    Q = dense.preconditioner(op)
+    np.testing.assert_allclose(P.diagonal, np.diag(Q), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(P.off_diagonal, np.diag(Q, 1), rtol=1e-12, atol=1e-12)
     g = np.array([0.5, -1.0, 2.0, 0.0, 1.5, -0.5])
-    np.testing.assert_allclose(P.apply(g), Q @ g, rtol=1e-12)
+    np.testing.assert_allclose(P.solve(Q @ g), g, rtol=1e-12, atol=1e-12)
 
 
 def test_preconditioner_quadratic_form_dominates_identity():
     # Q - I is a Gram matrix, so g'Qg >= g'g for every g
     rng = np.random.default_rng(11)
-    op = make_operator(rng, n=20)
-    P = Preconditioner(op)
+    Q = dense.preconditioner(make_operator(rng, n=20))
     for _ in range(100):
         g = rng.standard_normal(21)
-        assert float(g @ P.apply(g)) >= float(g @ g) * (1.0 - 1e-12)
+        assert float(g @ Q @ g) >= float(g @ g) * (1.0 - 1e-12)
 
 
 def test_preconditioner_solve_round_trip():
@@ -267,7 +234,7 @@ def test_preconditioner_solve_round_trip():
         op = make_operator(rng, n=int(rng.integers(5, 40)))
         P = Preconditioner(op)
         r = rng.standard_normal(op.grid.n + 1)
-        back = P.apply(P.solve(r))
+        back = dense.preconditioner(op) @ P.solve(r)
         assert np.max(np.abs(back - r)) <= 1e-10 * np.max(np.abs(r))
 
 
@@ -277,7 +244,7 @@ def test_preconditioner_solve_matches_dense_solver():
     op = DiscreteGenerator.from_field(parse("x^2"), grid, 1.0)
     P = Preconditioner(op)
     r = rng.standard_normal(6)
-    expected = np.linalg.solve(P.dense(), r)
+    expected = np.linalg.solve(dense.preconditioner(op), r)
     np.testing.assert_allclose(P.solve(r), expected, rtol=1e-10, atol=1e-12)
 
 
@@ -308,7 +275,7 @@ def test_preconditioner_factorization_fails_when_the_identity_cancels():
 def test_preconditioner_positive_definite_eigenvalues():
     rng = np.random.default_rng(19)
     op = make_operator(rng, n=15)
-    eigs = np.linalg.eigvalsh(Preconditioner(op).dense())
+    eigs = np.linalg.eigvalsh(dense.preconditioner(op))
     assert np.all(eigs >= 1.0 - 1e-10)  # Q = I + PSD part
 
 
@@ -321,24 +288,25 @@ def test_gradient_matches_finite_differences():
     for _ in range(5):
         op = make_operator(rng, n=8)
         g = rng.standard_normal(9)
-        grad = op.ordinary_gradient(g)
+        grad = dense.gradient(op, g)
         eps = 1e-6 * (1.0 + np.max(np.abs(g)))
         fd = np.empty_like(grad)
         for j in range(9):
             bump = np.zeros(9)
             bump[j] = eps
-            fd[j] = (op.objective(g + bump) - op.objective(g - bump)) / (2 * eps)
+            fd[j] = (
+                dense.objective(op, g + bump) - dense.objective(op, g - bump)
+            ) / (2 * eps)
         assert np.linalg.norm(grad - fd) <= 1e-5 * np.linalg.norm(grad)
 
 
 def test_gradient_matches_dense_normal_equations():
     rng = np.random.default_rng(29)
     op = make_operator(rng, n=10)
-    D = dense_difference(op.v, op.grid.h, op.scheme)
-    R = op.lam * np.eye(11) - op.v[:, None] * D
+    R = dense.residual(op)
     g = rng.standard_normal(11)
     np.testing.assert_allclose(
-        op.ordinary_gradient(g), R.T @ (R @ g), rtol=1e-11, atol=1e-11
+        dense.gradient(op, g), R.T @ (R @ g), rtol=1e-11, atol=1e-11
     )
 
 
@@ -352,8 +320,6 @@ def test_operator_validation():
         DiscreteGenerator(grid, np.zeros(5), 1.0)  # wrong length
     with pytest.raises(ValueError):
         DiscreteGenerator(grid, np.full(11, np.nan), 1.0)
-    with pytest.raises(ValueError):
-        DiscreteGenerator(grid, np.zeros(11), 1.0, scheme="centered")
 
 
 def test_from_field_samples_nodes():
