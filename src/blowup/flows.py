@@ -49,6 +49,8 @@ BLEW_UP = "blew-up"
 SURVIVED = "survived"
 
 # Thresholds of the probe (see estimate_escape_time).
+_H0 = 1e-3             # time covered by the first step
+_TOL = 1e-10           # error of a step relative to 1 + t
 _TAIL_RATIO = 0.9      # a full piece may take at most this share of the time of the one before
 _TAIL_PIECES = 4       # how many of the last full pieces the ratio test reads
 _TAIL_STOP = 1e-12     # stop early once the tail bound is below this share of t
@@ -90,8 +92,6 @@ def estimate_escape_time(
     x0: float,
     horizon: float = 10.0,
     cap: float = 1e8,
-    h0: float = 1e-3,
-    tol: float = 1e-10,
 ) -> EscapeEstimate:
     """Integrate the trajectory of u' = field(u) from x0 and judge whether
     it escapes past ``cap`` within ``horizon``.
@@ -102,9 +102,9 @@ def estimate_escape_time(
     alone, so a fourth-order Runge-Kutta step of it is Simpson's rule.
     Each step is taken once whole and once as two halves, which share
     their five samples of B (four new ones per step, two per retry); the
-    discrepancy, scaled by 1 + t, is checked against ``tol``, and the step
+    discrepancy, scaled by 1 + t, is checked against 1e-10, and the step
     is halved, or doubled after a very clean step.  The first step covers
-    the time ``h0``.
+    the time 1e-3.
 
     The states are cut into pieces: [a, a + sigma max(|a|, 1)] away from
     0, the last one clipped at +-``cap``, and [a, a/2] toward 0.  A piece
@@ -112,7 +112,9 @@ def estimate_escape_time(
     has length ln 2 at every scale; a piece from 0 uses ln(1 + |u|).  The
     probe ends at the first of:
 
-    - t reaches the horizon: SURVIVED, final_state = the state there;
+    - t reaches the horizon: SURVIVED, final_state = the state there,
+      found inside the last step by one Newton correction of the state
+      interpolated linearly in time;
     - a sample of B does not have the sign sigma: B has a zero between the
       state and that sample, which the trajectory never passes.  SURVIVED,
       final_state = that zero, located by bisection to 1e-14 of the
@@ -154,22 +156,20 @@ def estimate_escape_time(
     propagate (ln(x) from 0.5 reaches 0 and raises there), and a probe
     that needs more than 100 000 trial steps raises
     :class:`IntegrationError`.  ``ValueError`` is raised unless
-    ``horizon`` and ``cap`` are finite, ``horizon`` > 0, ``cap`` > |x0|,
-    ``h0`` > 0 and ``tol`` > 0.
+    ``horizon`` and ``cap`` are finite, ``horizon`` > 0 and ``cap`` > |x0|.
     """
     x0 = float(x0)
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     if not (math.isfinite(cap) and cap > abs(x0)):
         raise ValueError(f"cap {cap!r} must be finite and exceed the starting state {x0!r}")
-    if not (h0 > 0.0 and tol > 0.0):
-        raise ValueError(f"h0 and tol must be positive, got {h0!r} and {tol!r}")
 
     b0 = field(x0)
     if b0 == 0.0:
         return EscapeEstimate(SURVIVED, horizon, x0, 0)
     sigma = 1.0 if b0 > 0.0 else -1.0
     exp = math.exp
+    h0, tol = _H0, _TOL
     t = 0.0
     u = x0
     h = None  # the step in the piece's variable; None: the first one covers h0
@@ -232,9 +232,16 @@ def estimate_escape_time(
             if err <= tol:
                 steps += 1
                 if t + half >= horizon:
-                    # locate the state at the horizon inside this step
-                    frac = (horizon - t) / half
-                    return EscapeEstimate(SURVIVED, horizon, base + c * exp(s + frac * step), steps)
+                    # the state at the horizon inside this step: the
+                    # guess linear in time, moved by one Newton step on
+                    # Simpson's time from s to the guess
+                    target = horizon - t
+                    ds = (target / half) * step
+                    wm, wg = c * exp(s + 0.5 * ds), c * exp(s + ds)
+                    fg = wg / field(base + wg)
+                    spent = (ds / 6.0) * (f0 + 4.0 * wm / field(base + wm) + fg)
+                    ds -= (spent - target) / fg
+                    return EscapeEstimate(SURVIVED, horizon, base + c * exp(s + ds), steps)
                 t += half
                 tau += half
                 s = s_end if u4 == end else s + step

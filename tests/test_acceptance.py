@@ -169,16 +169,28 @@ def test_criterion_6_algorithm_invariants():
         lam = float(rng.uniform(0.3, 3.0))
         return DiscreteGenerator(grid, v, lam)
 
-    # objective monotone along the descent, 50 random problems
+    def same_run(trace, reference):
+        g, _, iterations, stop_reason = reference
+        return (
+            trace.g_final.tobytes() == g.tobytes()
+            and trace.iterations == iterations
+            and trace.stop_reason == stop_reason
+        )
+
+    # objective monotone along the descent, 50 random problems; the
+    # objectives come from the reference loop, which the descent is bitwise
     monotone = True
+    bitwise = True
     for _ in range(50):
         op = random_problem(int(rng.integers(8, 40)))
-        trace = run_descent(
-            op, DescentConfig(max_iters=150, init="random", seed=int(rng.integers(1e6)))
-        )
-        if np.any(np.diff(trace.objectives) > 0.0):
+        cfg = DescentConfig(max_iters=150, init="random", seed=int(rng.integers(1e6)))
+        reference = dense.reference_descent(op, cfg)
+        if np.any(np.diff(reference[1]) > 0.0):
             monotone = False
+        if not same_run(run_descent(op, cfg), reference):
+            bitwise = False
     checks.append(("objective non-increasing on 50 random problems", monotone))
+    checks.append(("descent is the reference loop bit for bit on them", bitwise))
 
     # gradient against central finite differences, 20 cases
     grad_ok = True
@@ -244,12 +256,17 @@ def test_criterion_6_algorithm_invariants():
         and abs(scaled.final_norm - 7.0 * base.final_norm)
         <= 1e-10 * 7.0 * base.final_norm
     )
+    base_ref = dense.reference_descent(op, cfg)
+    scaled_ref = dense.reference_descent(op, cfg, g0=7.0 * np.ones(101))
     phis_ok = all(
         abs(p7 - 49.0 * p1) <= 1e-10 * 49.0 * p1
-        for p1, p7 in zip(base.objectives, scaled.objectives)
+        for p1, p7 in zip(base_ref[1], scaled_ref[1])
         if p1 > 0.0
     )
-    checks.append(("trace equivariant under scaling by 7", ratio_ok and phis_ok))
+    same_ok = same_run(base, base_ref) and same_run(scaled, scaled_ref)
+    checks.append(
+        ("trace equivariant under scaling by 7", ratio_ok and phis_ok and same_ok)
+    )
 
     report(6, "algorithm invariant suite", checks)
 
