@@ -36,7 +36,7 @@ from numbers import Integral
 import numpy as np
 
 from .descent import DescentConfig, run_descent
-from .discrete import DiscreteGenerator, FactorizationError, Grid
+from .discrete import DiscreteGenerator, Grid
 from .expr import EvalDomainError
 from .flows import IntegrationError, estimate_escape_time
 
@@ -61,6 +61,7 @@ INCONCLUSIVE = "Inconclusive"
 THETA_LOCAL = 0.1
 THETA_GLOBAL = 1e-4
 RHO_MAX = 1e-2
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -68,7 +69,8 @@ class Evidence:
     """One sweep point: where it ran, what the descent left behind.
 
     ``label`` is the point's own verdict.  ``error`` is set (and the label
-    forced to Inconclusive) when the point failed to compute at all.
+    forced to Inconclusive) when the point failed to compute at all, or the
+    grid cannot resolve it.
     ``trace`` keeps the descent output for downstream use; it is not part
     of the serialized evidence.
     """
@@ -166,8 +168,17 @@ def classify_once(
     lam: float,
     cfg: DescentConfig = DescentConfig(),
 ) -> Evidence:
-    """Run one descent and label the outcome.  Errors propagate."""
+    """Run one descent and label the outcome; sampling errors propagate.
+
+    A point whose relative residual has a rounding floor eps*max|v|/(h*lam)
+    above RHO_MAX cannot meet the Local residual test, so it gets no
+    descent: it is unresolved, Inconclusive with ``error`` naming the floor.
+    """
     op = DiscreteGenerator.from_field(field_fn, grid, lam)
+    floor = _EPS * float(np.max(np.abs(op.v))) / (grid.h * lam)
+    if floor > RHO_MAX:
+        error = f"unresolved: residual rounding floor {floor:.3g} exceeds RHO_MAX {RHO_MAX:g}"
+        return Evidence(grid.n, grid.z, lam, None, None, INCONCLUSIVE, error)
     trace = run_descent(op, cfg)
     return Evidence(
         n=grid.n,
@@ -192,25 +203,18 @@ def classify_sweep(
 ) -> Classification:
     """Classify at every sweep point and combine by unanimity.
 
-    A point that fails to compute (field undefined at a node, degenerate
-    factorization) is recorded with its error and the sweep is
-    Inconclusive; invalid arguments still raise.
+    A point that fails to compute (field undefined at a node) or that the
+    grid cannot resolve (see :func:`classify_once`) is recorded with its
+    error and counts as Inconclusive, so the sweep is Inconclusive; invalid
+    arguments still raise.
     """
     evidence = []
     for n, z, lam in plan.points():
         grid = Grid(z, n)
         try:
             ev = classify_once(field_fn, grid, lam, cfg)
-        except (EvalDomainError, FactorizationError) as exc:
-            ev = Evidence(
-                n=n,
-                z=z,
-                lam=lam,
-                norm_ratio=None,
-                rel_residual=None,
-                label=INCONCLUSIVE,
-                error=str(exc),
-            )
+        except EvalDomainError as exc:
+            ev = Evidence(n, z, lam, None, None, INCONCLUSIVE, str(exc))
         evidence.append(ev)
 
     labels = {ev.label for ev in evidence}

@@ -133,7 +133,7 @@ class DescentConfig:
 
     max_iters   hard iteration cap
     init        "ones" or "random"
-    seed        RNG seed for the random start
+    seed        RNG seed for the random start, a non-negative integer
     """
 
     max_iters: int = 20000
@@ -143,8 +143,8 @@ class DescentConfig:
     def __post_init__(self):
         if not isinstance(self.max_iters, Integral) or self.max_iters < 1:
             raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
-        if not isinstance(self.seed, Integral):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.init not in (INIT_ONES, INIT_RANDOM):
             raise ValueError(f"init must be 'ones' or 'random', got {self.init!r}")
 

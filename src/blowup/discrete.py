@@ -17,8 +17,9 @@ The stencil is stored as a left-endpoint index l_j per row, with
 (D g)(j) = (g[l_j + 1] - g[l_j]) / h.
 
 The eigenvalue-shifted residual operator is R = lam*I - M.  The descent
-preconditioner is Q = I + (v D)^T (v D): symmetric tridiagonal, positive
-definite, assembled in banded form and factored by a banded Cholesky.
+preconditioner is Q = I + (v D)^T (v D), the identity plus a path
+Laplacian; its banded Cholesky factor comes from a pivot recurrence that
+subtracts nothing (see :class:`Preconditioner`).
 """
 
 from __future__ import annotations
@@ -27,13 +28,12 @@ import math
 from numbers import Integral
 
 import numpy as np
-from scipy.linalg import cholesky_banded, lapack
+from scipy.linalg import lapack
 
 __all__ = [
     "Grid",
     "DiscreteGenerator",
     "Preconditioner",
-    "FactorizationError",
 ]
 
 
@@ -150,48 +150,33 @@ class DiscreteGenerator:
         )
 
 
-class FactorizationError(RuntimeError):
-    """The preconditioner could not be Cholesky-factored in floating point.
-
-    Q = I + C^T C is positive definite in exact arithmetic, but C^T C is
-    singular (D kills constants), so once (v/h)^2 * eps >> 1 the identity
-    is lost to cancellation and the computed Q is not positive definite.
-    Fast-growing fields reach this on the default sweep: exp(x) at
-    (n, z) = (200, 20), (400, 40) and (800, 40).
-    """
-
-
 class Preconditioner:
     """Q = I + (v D)^T (v D), factored once, applied many times.
 
-    Q is symmetric tridiagonal and positive definite (an identity plus a
-    Gram matrix), so a banded Cholesky factorization is stable and each
-    solve costs O(n).
+    Row j of C = v D is m_j (e_{l_j + 1} - e_{l_j}) with m = v/h, so C^T C
+    is the path Laplacian with edge weights w_k = sum of m_j^2 over the rows
+    with l_j = k.  Forming I + C^T C would lose the identity to rounding
+    once (v/h)^2 eps >> 1.  The Cholesky pivots have a form without
+    subtraction instead (Grassmann, Taksar & Heyman 1985): d_k = e_k + w_k,
+    with e_0 = 1, e_{k+1} = 1 + e_k w_k / (e_k + w_k) and w_n = 0.  Every
+    pivot is at least 1 and exact to a few roundings.  The upper factor has
+    U_kk = sqrt(d_k) and U_k,k+1 = -w_k / sqrt(d_k); each solve is O(n).
+    A field so large that some w_k overflows raises ValueError.
     """
 
     def __init__(self, op: DiscreteGenerator):
-        n1 = op.grid.n + 1
-        left = op._left
-        m = op.v / op.grid.h  # row weight of the scaled difference C = v D
-        diag = np.zeros(n1)
-        off = np.zeros(n1 - 1)  # off[i] couples nodes i and i+1
-        # row j of C has entries -m_j at l_j and +m_j at l_j + 1;
-        # its contribution to C^T C is m_j^2 on both diagonal slots and
-        # -m_j^2 on the coupling between them.
-        np.add.at(diag, left, m**2)
-        np.add.at(diag, left + 1, m**2)
-        np.add.at(off, left, -(m**2))
-        diag += 1.0
-
-        self.diagonal = diag
-        self.off_diagonal = off
-        ab = np.zeros((2, n1))
-        ab[0, 1:] = off
-        ab[1, :] = diag
-        try:
-            self._factor = cholesky_banded(ab, lower=False)
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationError(str(exc)) from exc
+        with np.errstate(over="ignore"):
+            m = op.v / op.grid.h
+            w = np.bincount(op._left, weights=m * m, minlength=op.grid.n)
+        if not np.all(np.isfinite(w)):
+            raise ValueError("(v/h)^2 overflows: the field is too large for the grid")
+        pivots, e = [], 1.0
+        for wk in w.tolist():
+            pivots.append(e + wk)
+            e = 1.0 + e * (wk / (e + wk))
+        root = np.sqrt([*pivots, e])
+        # upper band in LAPACK layout: superdiagonal over the diagonal
+        self._factor = np.array([np.append(0.0, -w / root[:-1]), root], order="F")
 
     def solve(self, rhs):
         """Q^{-1} rhs via the banded Cholesky factor.

@@ -13,7 +13,7 @@ step, which the descent itself does not.
 import math
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cho_solve_banded
 
 from blowup.descent import (
     COLLAPSE_RATIO,
@@ -54,6 +54,12 @@ def preconditioner(op):
     return np.eye(op.grid.n + 1) + C.T @ C
 
 
+def upper_factor(precond):
+    """Dense upper Cholesky factor U of Q, from the preconditioner's band."""
+    band = precond._factor
+    return np.diag(band[1]) + np.diag(band[0, 1:], 1)
+
+
 def objective(op, g):
     """phi(g) = 0.5 * ||R g||^2."""
     r = op.residual(g)
@@ -74,18 +80,15 @@ def reference_descent(op, config, g0=None):
     """The descent loop in its first form, R g applied four times a step.
 
     gradient, exact_step and objective each apply R to g (or to g_next)
-    afresh, and Q is solved through cho_solve_banded.  run_descent carries
-    R g forward and calls dpbtrs itself; the arithmetic is the same.  The
-    stop tests are run_descent's, the count of pairs to collapse found by a
-    linear search.  Returns the final iterate, phi at the start and after
+    afresh, and Q is solved through cho_solve_banded with the
+    preconditioner's factor.  run_descent carries R g forward and calls
+    dpbtrs itself; the arithmetic is the same.  The stop tests are
+    run_descent's, the count of pairs to collapse found by a linear
+    search.  Returns the final iterate, phi at the start and after
     every accepted step, the number of steps and the stop reason.
     """
     g = initial_vector(op.grid.n + 1, config) if g0 is None else np.array(g0, dtype=float)
-    precond = Preconditioner(op)
-    ab = np.zeros((2, op.grid.n + 1))
-    ab[0, 1:] = precond.off_diagonal
-    ab[1] = precond.diagonal
-    factor = cholesky_banded(ab, lower=False)
+    factor = Preconditioner(op)._factor
     null = near_null(op)
     shrink = 2.0 * null.mu / (1.0 + op.lam**2)
 

@@ -82,6 +82,15 @@ def test_invalid_values_exit_one(tmp_path, capsys):
         assert f"got {value}" in err
 
 
+def test_negative_seed_is_named_in_the_error(capsys):
+    code, out, err = run_cli(
+        ["--field", "x^2", "--n", "40", "--init", "random", "--seed", "-1"], capsys
+    )
+    assert code == 1
+    assert "seed" in err and "-1" in err
+    assert "wrote" not in out
+
+
 def test_empty_lists_are_rejected_from_flags_and_files(tmp_path, capsys):
     for key, message in (("emit", "emit list is empty"), ("lambda", "lambda list is empty")):
         code, out, err = run_cli(

@@ -197,6 +197,8 @@ def test_config_validation():
         DescentConfig(max_iters=2.5)
     with pytest.raises(ValueError, match="1.5"):
         DescentConfig(init="random", seed=1.5)
+    with pytest.raises(ValueError, match="seed.*-1"):
+        DescentConfig(init="random", seed=-1)
 
 
 def test_random_start_still_finds_the_eigenfunction():

@@ -5,13 +5,15 @@ Python loops straight from the stencil definition, and never call the
 matrix-free code paths they are checking.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cho_solve_banded
 
 import dense
-from blowup.discrete import DiscreteGenerator, FactorizationError, Grid, Preconditioner
+from blowup.discrete import DiscreteGenerator, Grid, Preconditioner
 from blowup.expr import parse
 
 
@@ -201,9 +203,10 @@ def test_generator_linearity_on_general_floats():
 
 def test_preconditioner_is_identity_for_zero_field():
     grid = Grid(4.0, 6)
-    P = Preconditioner(DiscreteGenerator(grid, np.zeros(7), 1.0))
-    np.testing.assert_array_equal(P.diagonal, 1.0)
-    np.testing.assert_array_equal(P.off_diagonal, 0.0)
+    op = DiscreteGenerator(grid, np.zeros(7), 1.0)
+    P = Preconditioner(op)
+    U = dense.upper_factor(P)
+    np.testing.assert_allclose(U.T @ U, dense.preconditioner(op), rtol=1e-12)
     r = np.linspace(-2.0, 2.0, 7)
     np.testing.assert_array_equal(P.solve(r), r)
 
@@ -213,8 +216,8 @@ def test_preconditioner_matches_dense_tiny_case():
     op = DiscreteGenerator.from_field(parse("x^2"), grid, 1.0)
     P = Preconditioner(op)
     Q = dense.preconditioner(op)
-    np.testing.assert_allclose(P.diagonal, np.diag(Q), rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(P.off_diagonal, np.diag(Q, 1), rtol=1e-12, atol=1e-12)
+    U = dense.upper_factor(P)
+    np.testing.assert_allclose(U.T @ U, Q, rtol=1e-12)
     g = np.array([0.5, -1.0, 2.0, 0.0, 1.5, -0.5])
     np.testing.assert_allclose(P.solve(Q @ g), g, rtol=1e-12, atol=1e-12)
 
@@ -252,23 +255,54 @@ def test_preconditioner_solve_is_bitwise_cho_solve_banded():
     rng = np.random.default_rng(23)
     op = DiscreteGenerator.from_field(parse("x^2"), Grid(10.0, 200), 1.0)
     P = Preconditioner(op)
-    ab = np.zeros((2, 201))
-    ab[0, 1:] = P.off_diagonal
-    ab[1] = P.diagonal
-    factor = cholesky_banded(ab, lower=False)
     r = rng.standard_normal(201)
-    assert P.solve(r).tobytes() == cho_solve_banded((factor, False), r).tobytes()
+    assert P.solve(r).tobytes() == cho_solve_banded((P._factor, False), r).tobytes()
     for bad in (np.nan, np.inf, -np.inf):
         r[17] = bad
         with pytest.raises(ValueError):
             P.solve(r)
 
 
-def test_preconditioner_factorization_fails_when_the_identity_cancels():
-    # exp(20) / 0.1 makes (v/h)^2 * eps far above 1, so I + C^T C rounds
-    # to the singular C^T C
-    op = DiscreteGenerator.from_field(parse("exp(x)"), Grid(20.0, 200), 1.0)
-    with pytest.raises(FactorizationError):
+def exact_pivots(op):
+    """Cholesky pivots of Q = I + C^T C in exact rational arithmetic.
+
+    The stencil is read off the dense D (row j's first nonzero column is
+    its left endpoint); m_j = v_j / h is formed exactly from the floats.
+    """
+    h = Fraction(op.grid.h)
+    n1 = op.grid.n + 1
+    diag = [Fraction(1)] * n1
+    off = [Fraction(0)] * (n1 - 1)
+    for j, row in enumerate(dense.difference(op)):
+        left = int(np.flatnonzero(row)[0])
+        w = (Fraction(float(op.v[j])) / h) ** 2
+        diag[left] += w
+        diag[left + 1] += w
+        off[left] -= w
+    pivots = [diag[0]]
+    for k in range(1, n1):
+        pivots.append(diag[k] - off[k - 1] ** 2 / pivots[-1])
+    return pivots
+
+
+@pytest.mark.parametrize(
+    "text,z,n",
+    [("exp(x)", 40.0, 20), ("exp(x)", 20.0, 20), ("x^3", 40.0, 20), ("x*(x-1)", 10.0, 12)],
+)
+def test_preconditioner_pivots_are_exact(text, z, n):
+    # (v/h)^2 eps is far above 1 on the exp(x) grids, where Cholesky of the
+    # formed Q = I + C^T C returns pivots off by 5x and 1e17 without raising
+    op = DiscreteGenerator.from_field(parse(text), Grid(z, n), 1.0)
+    pivots = Preconditioner(op)._factor[1] ** 2
+    for got, want in zip(pivots.tolist(), exact_pivots(op)):
+        assert got >= 1.0
+        assert abs(Fraction(got) - want) <= 2e-15 * want
+
+
+def test_preconditioner_rejects_an_overflowing_field():
+    # (v/h)^2 reaches 1e404 at the right end; no warning escapes
+    op = DiscreteGenerator.from_field(parse("1e200*x"), Grid(10.0, 40), 1.0)
+    with pytest.raises(ValueError, match="overflow"):
         Preconditioner(op)
 
 
