@@ -29,6 +29,7 @@ descent path.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -162,20 +163,15 @@ def _label(norm_ratio, rel_residual):
     return INCONCLUSIVE
 
 
-def classify_once(
-    field_fn,
-    grid: Grid,
-    lam: float,
-    cfg: DescentConfig = DescentConfig(),
-) -> Evidence:
-    """Run one descent and label the outcome; sampling errors propagate.
+def _point_evidence(op: DiscreteGenerator, cfg: DescentConfig) -> Evidence:
+    """Run one descent on ``op`` and label the outcome.
 
     A point whose relative residual has a rounding floor eps*max|v|/(h*lam)
     above RHO_MAX cannot meet the Local residual test, so it gets no
     descent: it is unresolved, Inconclusive with ``error`` naming the floor.
     """
-    op = DiscreteGenerator.from_field(field_fn, grid, lam)
-    floor = _EPS * float(np.max(np.abs(op.v))) / (grid.h * lam)
+    grid, lam = op.grid, op.lam
+    floor = _EPS * float(np.abs(op.v).max()) / (grid.h * lam)
     if floor > RHO_MAX:
         error = f"unresolved: residual rounding floor {floor:.3g} exceeds RHO_MAX {RHO_MAX:g}"
         return Evidence(grid.n, grid.z, lam, None, None, INCONCLUSIVE, error)
@@ -191,6 +187,18 @@ def classify_once(
     )
 
 
+def classify_once(
+    field_fn,
+    grid: Grid,
+    lam: float,
+    cfg: DescentConfig = DescentConfig(),
+) -> Evidence:
+    """Sample the field, run one descent and label the outcome; sampling
+    errors propagate.  A point the grid cannot resolve gets no descent
+    (see :func:`_point_evidence`)."""
+    return _point_evidence(DiscreteGenerator.from_field(field_fn, grid, lam), cfg)
+
+
 def _representative(evidence):
     """Finest-grid point (smallest spacing); ties go to lam nearest 1."""
     return min(evidence, key=lambda e: (e.z / e.n, abs(e.lam - 1.0), e.lam))
@@ -203,19 +211,26 @@ def classify_sweep(
 ) -> Classification:
     """Classify at every sweep point and combine by unanimity.
 
-    A point that fails to compute (field undefined at a node) or that the
-    grid cannot resolve (see :func:`classify_once`) is recorded with its
-    error and counts as Inconclusive, so the sweep is Inconclusive; invalid
-    arguments still raise.
+    The field is sampled once per grid (n, z); the points of that grid
+    share the samples, Q's factor and near_null's start, and differ only
+    in lam (:meth:`DiscreteGenerator.with_lam`).  Each point is labelled as
+    :func:`classify_once` labels it.  A grid whose sampling fails (field
+    undefined at a node) records the error at each of its points, and a
+    point the grid cannot resolve records why; either counts as
+    Inconclusive, so the sweep is Inconclusive.  Invalid arguments still
+    raise.
     """
     evidence = []
-    for n, z, lam in plan.points():
-        grid = Grid(z, n)
+    for (n, z), points in itertools.groupby(plan.points(), key=lambda p: p[:2]):
+        lams = [lam for _, _, lam in points]
         try:
-            ev = classify_once(field_fn, grid, lam, cfg)
+            op = DiscreteGenerator.from_field(field_fn, Grid(z, n), lams[0])
         except EvalDomainError as exc:
-            ev = Evidence(n, z, lam, None, None, INCONCLUSIVE, str(exc))
-        evidence.append(ev)
+            evidence.extend(
+                Evidence(n, z, lam, None, None, INCONCLUSIVE, str(exc)) for lam in lams
+            )
+            continue
+        evidence.extend(_point_evidence(op.with_lam(lam), cfg) for lam in lams)
 
     labels = {ev.label for ev in evidence}
     if labels == {LOCAL}:

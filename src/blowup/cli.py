@@ -219,10 +219,12 @@ def build_plan(run: RunConfig) -> SweepPlan:
 
 def emit_csv(grid, g, path: str):
     """Two columns x,g; 12 significant digits; LF line endings."""
+    rows = "".join(
+        "%.12g,%.12g\n" % pair
+        for pair in zip(grid.nodes.tolist(), np.asarray(g, dtype=float).tolist())
+    )
     with open(path, "w", newline="") as fh:
-        fh.write("x,g\n")
-        for x, value in zip(grid.nodes, g):
-            fh.write("%.12g,%.12g\n" % (x, value))
+        fh.write("x,g\n" + rows)
 
 
 def _svg_document(xs, ys, title: str) -> str:
@@ -292,7 +294,9 @@ def _svg_document(xs, ys, title: str) -> str:
 def emit_svg(grid, g, title: str, path: str):
     """Deterministic standalone plot of (x_j, g_j) with axes and ticks."""
     with open(path, "w", newline="") as fh:
-        fh.write(_svg_document(grid.nodes, np.asarray(g, dtype=float), title))
+        fh.write(
+            _svg_document(grid.nodes.tolist(), np.asarray(g, dtype=float).tolist(), title)
+        )
 
 
 def build_report(run: RunConfig, plan, classification, validation) -> dict:
@@ -319,8 +323,7 @@ def build_report(run: RunConfig, plan, classification, validation) -> dict:
 
 def emit_json(report: dict, path: str):
     with open(path, "w", newline="") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 # --------------------------------------------------------------------------

@@ -11,12 +11,15 @@ line.  With that step phi never increases; a numerically observed uptick
 would mean the arithmetic has degenerated, so the move is rejected and
 the run stops.
 
-R g is carried from one iteration to the next, so a step costs one
-application of R^T (grad phi = R^T R g), one Q solve (the stored banded
-Cholesky factor) and two of R: R d for the step, and R g_next, which gives
-phi(g_next) and becomes the next R g.  R g_next is applied afresh rather
-than updated as R g - s R d, which would round differently and blunt the
-test for an increase of phi.
+M g and R g = lam*g - M g are carried from one iteration to the next, so
+a step costs one application of R^T (grad phi = R^T R g), one Q solve
+(the grid's stored banded Cholesky factor), R d for the step, and M g_next,
+which gives R g_next and phi(g_next) and becomes the next M g.  R g_next
+is applied afresh rather than updated as R g - s R d, which would round
+differently and blunt the test for an increase of phi.  The span test and
+the cycle's coefficient along w reuse the carried M g.  Q's factor and
+near_null's start vector do not depend on lam; they are built once per
+grid (see ``DiscreteGenerator.with_lam``).
 
 What the final iterate means: when R is far from singular the descent
 drives g toward zero, and when R is nearly singular the descent
@@ -85,9 +88,9 @@ from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
-from .discrete import DiscreteGenerator, Preconditioner
+from .discrete import DiscreteGenerator
 
 __all__ = [
     "DescentConfig",
@@ -119,9 +122,6 @@ CERTIFY_TOL = 1e-6
 RATIO_GATE = 5e-3
 # sup-norm ratio at which the iterate counts as collapsed
 COLLAPSE_RATIO = 1e-6
-# seed of near_null's start; any fixed seed works, ``ones`` does not
-# (it is an exact eigenvector of R, with eigenvalue lam)
-_NEAR_NULL_SEED = 0
 # shift of lam, relative to R's largest entry, that makes an exactly
 # singular R invertible
 _SINGULAR_SHIFT = 1e-12
@@ -206,13 +206,24 @@ class NearNull(NamedTuple):
 
 
 def _inverse_iteration(ab, x):
-    """Two steps of inverse iteration on R^T R, R given by its bands."""
-    abt = np.zeros_like(ab)  # bands of R^T
-    abt[0, 1:] = ab[2, :-1]
-    abt[1] = ab[1]
-    abt[2, :-1] = ab[0, 1:]
+    """Two steps of inverse iteration on R^T R, R given by its bands.
+
+    Each step solves with R^T, then with R, through LAPACK's ``dgtsv``,
+    the routine ``solve_banded`` calls for a tridiagonal matrix, without
+    that wrapper's overhead but with its errors: ValueError for a
+    non-finite matrix or vector, LinAlgError for a singular matrix.  R^T's
+    bands are R's with the two off-diagonals swapped.
+    """
+    ab = np.asarray_chkfinite(ab)
+    upper, diag, lower = ab[0, 1:], ab[1], ab[2, :-1]
     for _ in range(2):
-        x = solve_banded((1, 1), ab, solve_banded((1, 1), abt, x))
+        # (sub-, super-diagonal) of R^T, then of R
+        for sub, sup in ((upper, lower), (lower, upper)):
+            _, _, _, x, info = lapack.dgtsv(sub, diag, sup, np.asarray_chkfinite(x))
+            if info > 0:
+                raise np.linalg.LinAlgError("singular matrix")
+            if info < 0:
+                raise ValueError(f"illegal value in argument {-info} of dgtsv")
         norm = np.linalg.norm(x)
         if not (np.isfinite(norm) and norm > 0.0):
             raise np.linalg.LinAlgError("inverse iteration lost its vector")
@@ -223,13 +234,14 @@ def _inverse_iteration(ab, x):
 def near_null(op: DiscreteGenerator) -> NearNull:
     """Smallest right singular pair of R = lam*I - M, by inverse iteration.
 
-    Two steps on R^T R from a seeded random start, each a banded solve
-    with R^T and one with R.  When R is exactly singular (B = x at lam = 1
-    is, on every grid) lam is shifted by a relative 1e-12 of R's largest
-    entry, which leaves w the null vector.
+    Two steps on R^T R from the grid's seeded random start
+    (``op.null_start``), each a tridiagonal solve with R^T and one with R.
+    When R is exactly singular (B = x at lam = 1 is, on every grid) lam is
+    shifted by a relative 1e-12 of R's largest entry, which leaves w the
+    null vector.
     """
     ab = op.residual_bands()
-    start = np.random.default_rng(_NEAR_NULL_SEED).standard_normal(op.grid.n + 1)
+    start = op.null_start
     try:
         w = _inverse_iteration(ab, start)
     except np.linalg.LinAlgError:
@@ -269,9 +281,9 @@ def _w_coefficient(g, mg, null: NearNull) -> float:
     return float(g @ null.w + mg @ null.mw) / null.wq
 
 
-def _in_span(op: DiscreteGenerator, g, null: NearNull) -> bool:
-    """Whether g lies within CERTIFY_TOL of span(w), relative, in the Q-norm."""
-    mg = op.apply_generator(g)
+def _in_span(g, mg, null: NearNull) -> bool:
+    """Whether g lies within CERTIFY_TOL of span(w), relative, in the Q-norm;
+    mg is M g."""
     c = _w_coefficient(g, mg, null)
     e = g - c * null.w
     me = mg - c * null.mw
@@ -316,14 +328,16 @@ def run_descent(
                 f"got {g.shape}"
             )
 
-    precond = Preconditioner(op)
+    lam = op.lam
+    precond = op.preconditioner
     null = near_null(op)
     # the span test's shrink of w's component per step, 2 mu / mu_max with
     # mu_max replaced by 1 + lam^2: an approximation, not a bound
-    shrink = 2.0 * null.mu / (1.0 + op.lam**2)
+    shrink = 2.0 * null.mu / (1.0 + lam**2)
 
-    initial_norm = float(np.max(np.abs(g)))
-    rg = op.residual(g)
+    initial_norm = float(np.abs(g).max())
+    mg = op.apply_generator(g)
+    rg = lam * g - mg
     phi = 0.5 * float(rg @ rg)
     iterations = 0
     stop_reason = STOP_CAP
@@ -339,17 +353,18 @@ def run_descent(
             break
 
         g_next = g - s * d
-        rg_next = op.residual(g_next)
+        mg_next = op.apply_generator(g_next)
+        rg_next = lam * g_next - mg_next
         phi_next = 0.5 * float(rg_next @ rg_next)
         if phi_next > phi:
             # exact step on a quadratic cannot increase phi; arithmetic is
             # exhausted, keep the better iterate
             stop_reason = STOP_STAGNATED
             break
-        g, rg, phi = g_next, rg_next, phi_next
+        g, mg, rg, phi = g_next, mg_next, rg_next, phi_next
         iterations += 1
 
-        g_max = float(np.max(np.abs(g)))
+        g_max = float(np.abs(g).max())
         if g_max <= COLLAPSE_RATIO * initial_norm:
             stop_reason = STOP_COLLAPSED
             break
@@ -363,7 +378,7 @@ def run_descent(
         if streak < CYCLE_STREAK:
             coefficients = []
         else:
-            c = _w_coefficient(g, op.apply_generator(g), null)
+            c = _w_coefficient(g, mg, null)
             coefficients = [*coefficients[-2:], c]
             if len(coefficients) == 3 and coefficients[0] != 0.0:
                 rate = c / coefficients[0]
@@ -377,13 +392,13 @@ def run_descent(
         if (
             rest > 0
             and shrink * rest <= RATIO_GATE
-            and _in_span(op, g, null)
+            and _in_span(g, mg, null)
         ):
             g = math.exp(-shrink * rest) * g
             stop_reason = STOP_CERTIFIED
             break
 
-    final_norm = float(np.max(np.abs(g)))
+    final_norm = float(np.abs(g).max())
     g_l2 = float(np.linalg.norm(g))
     if g_l2 == 0.0:
         rel_residual = None

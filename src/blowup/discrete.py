@@ -20,10 +20,16 @@ The eigenvalue-shifted residual operator is R = lam*I - M.  The descent
 preconditioner is Q = I + (v D)^T (v D), the identity plus a path
 Laplacian; its banded Cholesky factor comes from a pivot recurrence that
 subtracts nothing (see :class:`Preconditioner`).
+
+Only R depends on lam.  :meth:`DiscreteGenerator.with_lam` gives the
+operator at another lam on the same grid, sharing v, the stencil, Q's
+factor and the seeded start of ``descent.near_null``; the last two are
+built on first use.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from numbers import Integral
 
@@ -35,6 +41,10 @@ __all__ = [
     "DiscreteGenerator",
     "Preconditioner",
 ]
+
+# seed of the start vector of ``descent.near_null``; any fixed seed works,
+# ``ones`` does not (it is an exact eigenvector of R, with eigenvalue lam)
+_NULL_START_SEED = 0
 
 
 class Grid:
@@ -68,6 +78,17 @@ def _left_endpoints(v):
     return left
 
 
+class _Shared:
+    """What the operators of one grid share across lam; each piece is
+    built on first use."""
+
+    __slots__ = ("preconditioner", "null_start")
+
+    def __init__(self):
+        self.preconditioner = None
+        self.null_start = None
+
+
 class DiscreteGenerator:
     """The operators M = v * D and R = lam*I - M on a fixed grid.
 
@@ -89,6 +110,10 @@ class DiscreteGenerator:
         self.v = v
         self.lam = float(lam)
         self._left = _left_endpoints(v)
+        # 0/1 masks of the forward (l_j = j) and backward rows
+        self._forward = (self._left == np.arange(grid.n + 1)).astype(float)
+        self._backward = 1.0 - self._forward
+        self._shared = _Shared()
 
     @classmethod
     def from_field(cls, field, grid: Grid, lam: float):
@@ -96,22 +121,63 @@ class DiscreteGenerator:
         v = np.array([field(x) for x in grid.nodes], dtype=float)
         return cls(grid, v, lam)
 
+    def with_lam(self, lam: float):
+        """The operator at eigenvalue candidate ``lam`` on the same grid.
+
+        It shares v, the stencil, the preconditioner and the null start
+        with this one, so a factor built for either serves both.
+        """
+        op = copy.copy(self)
+        op.lam = float(lam)
+        return op
+
+    @property
+    def preconditioner(self):
+        """Q's banded factor, built on first use; lam-free, so shared by
+        every :meth:`with_lam` sibling."""
+        shared = self._shared
+        if shared.preconditioner is None:
+            shared.preconditioner = Preconditioner(self)
+        return shared.preconditioner
+
+    @property
+    def null_start(self):
+        """The seeded Gaussian start vector of ``descent.near_null``, drawn
+        on first use and shared like :attr:`preconditioner`; read-only."""
+        shared = self._shared
+        if shared.null_start is None:
+            start = np.random.default_rng(_NULL_START_SEED).standard_normal(self.grid.n + 1)
+            start.flags.writeable = False
+            shared.null_start = start
+        return shared.null_start
+
     # -- core linear maps ---------------------------------------------------
 
     def apply_difference(self, g):
         """D g: one-sided first differences, upwind row stencils."""
         g = np.asarray(g, dtype=float)
-        left = self._left
-        return (g[left + 1] - g[left]) / self.grid.h
+        return (g[1:] - g[:-1])[self._left] / self.grid.h
 
     def apply_difference_transpose(self, w):
-        """D^T w, by scattering each row's two coefficients."""
+        """D^T w, the sum over rows of each row's two coefficients.
+
+        Row j adds -s_j at node l_j and +s_j at l_j + 1, s = w/h.  Node k
+        hears from row k (forward: -s_k; backward: +s_k) and from its
+        neighbours' rows: row k+1 when backward (-s_{k+1}), row k-1 when
+        forward (+s_{k-1}).  The terms are summed from 0.0 in row order,
+        subtractions first, as scattering them would.  A row that does not
+        reach the node adds a zero (s times a 0/1 row mask), and since
+        such a running sum is never -0.0, a zero of either sign leaves it
+        as it is: for finite w the result is the scatter's, bit for bit.
+        """
         w = np.asarray(w, dtype=float)
-        left = self._left
-        out = np.zeros_like(w)
-        scaled = w / self.grid.h
-        np.subtract.at(out, left, scaled)
-        np.add.at(out, left + 1, scaled)
+        s = w / self.grid.h
+        fs = s * self._forward
+        bs = s * self._backward
+        out = 0.0 - fs
+        out[:-1] -= bs[1:]
+        out[1:] += fs[:-1]
+        out += bs
         return out
 
     def apply_generator(self, g):
@@ -132,15 +198,18 @@ class DiscreteGenerator:
         """R in the (1, 1) banded layout of ``scipy.linalg.solve_banded``.
 
         Row j has lam on the diagonal, +v_j/h at column l_j and -v_j/h at
-        column l_j + 1; entry (j, c) sits at ``ab[1 + j - c, c]``.
+        column l_j + 1; entry (j, c) sits at ``ab[1 + j - c, c]``.  A
+        forward row puts +v_j/h on the diagonal and -v_j/h above it, a
+        backward row -v_j/h on the diagonal and +v_j/h below it; each band
+        slot receives one term, added to lam on the diagonal and to 0.0
+        off it.
         """
-        rows = np.arange(self.grid.n + 1)
-        left = self._left
+        fwd = self._forward == 1.0
         m = self.v / self.grid.h
         ab = np.zeros((3, self.grid.n + 1))
-        ab[1] = self.lam
-        np.add.at(ab, (1 + rows - left, left), m)
-        np.add.at(ab, (rows - left, left + 1), -m)
+        ab[0, 1:] += np.where(fwd[:-1], -m[:-1], 0.0)
+        ab[1] = self.lam + np.where(fwd, m, -m)
+        ab[2, :-1] += np.where(fwd[1:], 0.0, m[1:])
         return ab
 
     def __repr__(self):
@@ -151,7 +220,10 @@ class DiscreteGenerator:
 
 
 class Preconditioner:
-    """Q = I + (v D)^T (v D), factored once, applied many times.
+    """Q = I + (v D)^T (v D), factored once per grid, applied many times.
+
+    Q does not depend on lam, so one factor serves every lam on a grid
+    (see :attr:`DiscreteGenerator.preconditioner`).
 
     Row j of C = v D is m_j (e_{l_j + 1} - e_{l_j}) with m = v/h, so C^T C
     is the path Laplacian with edge weights w_k = sum of m_j^2 over the rows

@@ -2,6 +2,10 @@
 
 D is built with explicit Python loops straight from the upwind stencil
 definition and never calls the matrix-free code it is checked against.
+:func:`difference_transpose` and :func:`residual_bands` are the scatter
+forms (``ufunc.at``) of D^T and of R's bands, and :func:`inverse_iteration`
+is near_null's two steps through ``solve_banded``: the operators round
+exactly as these do, so they are compared bit for bit.
 The descent quantities (phi, its gradient and the exact step) are built
 from ``op.residual`` and ``op.residual_transpose``, so they round exactly
 as the descent loop's own arithmetic does; the step is the descent's own
@@ -13,7 +17,7 @@ step, which the descent itself does not.
 import math
 
 import numpy as np
-from scipy.linalg import cho_solve_banded
+from scipy.linalg import cho_solve_banded, solve_banded
 
 from blowup.descent import (
     COLLAPSE_RATIO,
@@ -41,6 +45,42 @@ def difference(op):
             D[j, j] = -1.0 / h
             D[j, j + 1] = 1.0 / h
     return D
+
+
+def difference_transpose(op, w):
+    """D^T w by scattering each row's two coefficients, -w_j/h at l_j and
+    +w_j/h at l_j + 1, in row order."""
+    left = op._left
+    out = np.zeros_like(w)
+    scaled = w / op.grid.h
+    np.subtract.at(out, left, scaled)
+    np.add.at(out, left + 1, scaled)
+    return out
+
+
+def residual_bands(op):
+    """R's (1, 1) bands by scattering each row's entries onto lam*I."""
+    rows = np.arange(op.grid.n + 1)
+    left = op._left
+    m = op.v / op.grid.h
+    ab = np.zeros((3, op.grid.n + 1))
+    ab[1] = op.lam
+    np.add.at(ab, (1 + rows - left, left), m)
+    np.add.at(ab, (rows - left, left + 1), -m)
+    return ab
+
+
+def inverse_iteration(ab, x):
+    """Two steps of inverse iteration on R^T R through ``solve_banded``,
+    with R^T's bands formed explicitly."""
+    abt = np.zeros_like(ab)
+    abt[0, 1:] = ab[2, :-1]
+    abt[1] = ab[1]
+    abt[2, :-1] = ab[0, 1:]
+    for _ in range(2):
+        x = solve_banded((1, 1), ab, solve_banded((1, 1), abt, x))
+        x = x / np.linalg.norm(x)
+    return x
 
 
 def residual(op):
@@ -139,7 +179,7 @@ def reference_descent(op, config, g0=None):
                         stop_reason = "collapsed"
                     g = rate**pairs * g
                     break
-        if rest > 0 and shrink * rest <= RATIO_GATE and _in_span(op, g, null):
+        if rest > 0 and shrink * rest <= RATIO_GATE and _in_span(g, op.apply_generator(g), null):
             g = math.exp(-shrink * rest) * g
             stop_reason = "certified"
             break

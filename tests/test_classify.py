@@ -1,5 +1,7 @@
 """Verdicts, sweeps, and the trajectory-integration cross-check."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,8 @@ from blowup.classify import (
     probe_states,
 )
 from blowup.descent import COLLAPSE_RATIO, DescentConfig, run_descent
-from blowup.discrete import DiscreteGenerator, Grid
-from blowup.expr import parse
+from blowup.discrete import DiscreteGenerator, Grid, Preconditioner
+from blowup.expr import FieldExpr, parse
 
 # small grids keep each descent fast; the full-size runs live in the
 # acceptance suite
@@ -251,6 +253,57 @@ def test_exp_survivor_at_z_20_agrees_with_z_10_at_equal_spacing():
     wide = classify_once(field, Grid(20.0, 800), 0.5)
     narrow = classify_once(field, Grid(10.0, 400), 0.5)
     assert wide.norm_ratio == pytest.approx(narrow.norm_ratio, rel=0.05)
+
+
+SHARED_PLAN = SweepPlan(ns=(40, 80), zs=(10.0, 20.0), lams=(0.5, 1.0, 2.0))
+
+
+@pytest.mark.parametrize("text", ["x^2", "x*(x-1)", "-x^2", "x"])
+def test_sweep_points_equal_classify_once(text):
+    # the sweep samples each grid once and shares it across lam; no point
+    # may differ from one computed on its own
+    field = parse(text)
+    c = classify_sweep(field, SHARED_PLAN)
+    assert [(ev.n, ev.z, ev.lam) for ev in c.evidence] == SHARED_PLAN.points()
+    for ev in c.evidence:
+        alone = classify_once(field, Grid(ev.z, ev.n), ev.lam)
+        assert ev.as_dict() == alone.as_dict()
+        assert ev.trace.iterations == alone.trace.iterations
+        assert ev.trace.stop_reason == alone.trace.stop_reason
+        assert ev.trace.g_final.tobytes() == alone.trace.g_final.tobytes()
+
+
+def test_sweep_marks_every_lam_of_an_unsampleable_grid():
+    # 1/(x-15) is undefined at node 15, which only the z = 20 grids have
+    c = classify_sweep(parse("1/(x-15)"), SHARED_PLAN)
+    for ev in c.evidence:
+        if ev.z == 20.0:
+            assert ev.error == "division by zero"
+            assert ev.trace is None and ev.label == INCONCLUSIVE
+        else:
+            assert ev.error is None and ev.trace is not None
+    assert len(c.evidence) == 12
+    assert c.verdict == INCONCLUSIVE
+
+
+def test_default_sweep_work_counts(monkeypatch):
+    # samplings and factorizations are per grid (n, z), shared by the
+    # three lam; field evaluations are one per node of each grid
+    counts = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    sample = counted("samples", DiscreteGenerator.from_field.__func__)
+    monkeypatch.setattr(DiscreteGenerator, "from_field", classmethod(sample))
+    monkeypatch.setattr(Preconditioner, "__init__", counted("factors", Preconditioner.__init__))
+    monkeypatch.setattr(FieldExpr, "__call__", counted("evals", FieldExpr.__call__))
+    c = classify_sweep(parse("x^2"))
+    assert len(c.evidence) == 27
+    assert counts == {"samples": 9, "factors": 9, "evals": 3 * (201 + 401 + 801)}
 
 
 def test_sweep_representative_is_finest_grid():

@@ -6,8 +6,10 @@ from scipy.linalg import solve_banded
 
 import dense
 from blowup.descent import (
+    _SINGULAR_SHIFT,
     COLLAPSE_RATIO,
     DescentConfig,
+    _inverse_iteration,
     initial_vector,
     near_null,
     run_descent,
@@ -301,6 +303,51 @@ def test_near_null_survives_an_exactly_singular_residual():
     assert np.all(np.isfinite(null.w))
     assert np.linalg.norm(null.w) == pytest.approx(1.0, rel=1e-12)
     assert np.linalg.norm(dense.residual(op) @ null.w) <= 1e-10
+
+
+@pytest.mark.parametrize("text", ["x^2", "x*(x-1)", "-x^2", "x", "sin(x)", "x^3"])
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_near_null_is_bitwise_the_solve_banded_reference(text, lam):
+    for n, z in ((40, 10.0), (200, 20.0)):
+        op = DiscreteGenerator.from_field(parse(text), Grid(z, n), lam)
+        ab = dense.residual_bands(op)
+        start = np.random.default_rng(0).standard_normal(n + 1)
+        try:
+            w = dense.inverse_iteration(ab, start)
+        except np.linalg.LinAlgError:
+            # B = x at lam = 1: R is exactly singular
+            assert (text, lam) == ("x", 1.0)
+            ab[1] += _SINGULAR_SHIFT * float(np.max(np.abs(ab)))
+            w = dense.inverse_iteration(ab, start)
+        null = near_null(op)
+        assert null.w.tobytes() == w.tobytes()
+        mw = op.apply_generator(w)
+        rw = lam * w - mw
+        wq = 1.0 + float(mw @ mw)
+        assert (null.wq, null.mu) == (wq, float(rw @ rw) / wq)
+
+
+def test_inverse_iteration_keeps_solve_banded_errors():
+    op = DiscreteGenerator.from_field(parse("x"), Grid(10.0, 40), 1.0)
+    ab = op.residual_bands()
+    start = op.null_start
+    with pytest.raises(np.linalg.LinAlgError):
+        _inverse_iteration(ab, start)
+    ab[1] += 1.0
+    for bad in (np.nan, np.inf):
+        x = start.copy()
+        x[7] = bad
+        with pytest.raises(ValueError):
+            solve_banded((1, 1), ab, x)
+        with pytest.raises(ValueError):
+            _inverse_iteration(ab, x)
+    # a non-finite intermediate vector is caught before the next solve
+    huge = ab.copy()
+    huge[1] = 1e-300
+    huge[0] = huge[2] = 0.0
+    with pytest.raises(ValueError):
+        _inverse_iteration(huge, np.full(41, 1e300))
+    assert np.array_equal(start, op.null_start)
 
 
 def osgood_product(op):

@@ -146,6 +146,75 @@ def test_transpose_is_adjoint():
         )
 
 
+KERNEL_FIELDS = ["x^2", "x*(x-1)", "-x^2", "sin(x)", "0", "x*(x-1)*(x-3)"]
+
+
+def kernel_vectors(n1, rng):
+    """Random, with exact zeros, and made of signed zeros alone."""
+    g = rng.standard_normal(n1)
+    holes = g.copy()
+    holes[rng.integers(0, n1, size=n1 // 3)] = 0.0
+    holes[rng.integers(0, n1, size=n1 // 5)] = -0.0
+    signed = np.where(rng.integers(0, 2, size=n1) == 1, 0.0, -0.0)
+    return [g, holes, signed, np.zeros(n1), -np.zeros(n1)]
+
+
+def assert_bitwise(a, b):
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("text", KERNEL_FIELDS)
+@pytest.mark.parametrize("n", [3, 40, 125])
+def test_difference_transpose_is_bitwise_the_scatter(text, n):
+    rng = np.random.default_rng(n)
+    op = DiscreteGenerator.from_field(parse(text), Grid(10.0, n), 1.0)
+    for w in kernel_vectors(n + 1, rng):
+        assert_bitwise(op.apply_difference_transpose(w), dense.difference_transpose(op, w))
+        # and so is R^T, which the descent applies every step
+        assert_bitwise(
+            op.residual_transpose(w),
+            op.lam * w - dense.difference_transpose(op, op.v * w),
+        )
+
+
+@pytest.mark.parametrize("text", KERNEL_FIELDS)
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_residual_bands_are_bitwise_the_scatter(text, lam):
+    for n in (3, 40, 125):
+        op = DiscreteGenerator.from_field(parse(text), Grid(10.0, n), lam)
+        assert_bitwise(op.residual_bands(), dense.residual_bands(op))
+
+
+def test_kernels_are_bitwise_the_scatter_on_signed_zero_fields():
+    # v made of +-0 and small integers: some of the terms are -0.0
+    rng = np.random.default_rng(5)
+    v = rng.choice([0.0, -0.0, 1.0, -1.0, 2.0], size=31)
+    op = DiscreteGenerator(Grid(3.0, 30), v, 1.0)
+    assert_bitwise(op.residual_bands(), dense.residual_bands(op))
+    for w in kernel_vectors(31, rng):
+        assert_bitwise(op.apply_difference_transpose(w), dense.difference_transpose(op, w))
+
+
+def test_with_lam_shares_the_grid_pieces():
+    op = DiscreteGenerator.from_field(parse("x*(x-1)"), Grid(10.0, 40), 1.0)
+    sibling = op.with_lam(2.0)
+    assert (op.lam, sibling.lam) == (1.0, 2.0)
+    assert sibling.grid is op.grid and sibling.v is op.v
+    assert sibling.preconditioner is op.preconditioner
+    assert sibling.null_start is op.null_start
+    assert not op.null_start.flags.writeable
+    # R is the one thing that depends on lam
+    g = np.sin(op.grid.nodes)
+    assert_bitwise(sibling.residual(g), 2.0 * g - op.apply_generator(g))
+    assert_bitwise(sibling.apply_generator(g), op.apply_generator(g))
+    # an operator built from scratch has pieces of its own, bitwise equal
+    fresh = DiscreteGenerator.from_field(parse("x*(x-1)"), Grid(10.0, 40), 2.0)
+    assert fresh.preconditioner is not op.preconditioner
+    assert fresh.preconditioner._factor.tobytes() == op.preconditioner._factor.tobytes()
+    assert fresh.null_start.tobytes() == op.null_start.tobytes()
+
+
 @settings(max_examples=50)
 @given(st.integers(0, 2**32 - 1))
 def test_adjointness_property(seed):
