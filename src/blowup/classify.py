@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
@@ -99,7 +98,8 @@ class Evidence:
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """Grid sizes, truncation points and eigenvalue candidates."""
+    """Grid sizes, truncation points and eigenvalue candidates; every
+    (n, z) pair must make a :class:`Grid`."""
 
     ns: tuple = (200, 400, 800)
     zs: tuple = (10.0, 20.0, 40.0)
@@ -108,14 +108,8 @@ class SweepPlan:
     def __post_init__(self):
         if not self.ns or not self.zs or not self.lams:
             raise ValueError("sweep plan needs at least one n, one z and one lam")
-        for n in self.ns:
-            if not isinstance(n, Integral) or n < 2:
-                raise ValueError(f"grid sizes must be integers >= 2, got {n!r}")
-        for z in self.zs:
-            if not (math.isfinite(z) and z > 0):
-                raise ValueError(
-                    f"truncation points must be finite and positive, got {z!r}"
-                )
+        for n, z in itertools.product(self.ns, self.zs):
+            Grid(z, n)
         for lam in self.lams:
             if not (math.isfinite(lam) and lam > 0):
                 raise ValueError(
@@ -279,8 +273,9 @@ PROBE_CAP = 1e8
 class ProbeResult:
     """Numeric trajectory probe from one starting state.
 
-    status is "blew-up", "survived", or "failed" (integrator gave up);
-    escape_time is set only for "blew-up".
+    status is "blew-up", "survived", or "failed" (integrator gave up, or
+    the state is not below PROBE_CAP); escape_time is set only for
+    "blew-up".
     """
 
     x: float
@@ -330,10 +325,11 @@ def cross_validate(field_fn, classification: Classification) -> CrossValidation:
     """Check a verdict against direct integration of sample trajectories.
 
     Integrates from PROBES probe states spread over the classification
-    grid, each until PROBE_HORIZON or until it passes PROBE_CAP.  A Local
-    verdict agrees when at least one probe blows up within the horizon; a
-    Global verdict agrees when none does.  Disagreements are reported,
-    never raised.
+    grid, each until PROBE_HORIZON or until it passes PROBE_CAP; a probe
+    state at or past the cap (z >= 16/15 PROBE_CAP) is recorded as failed.
+    A Local verdict agrees when at least one probe blows up within the
+    horizon; a Global verdict agrees when none does.  Disagreements are
+    reported, never raised.
     """
     probes = []
     for x in probe_states(classification.grid.z):
@@ -341,7 +337,7 @@ def cross_validate(field_fn, classification: Classification) -> CrossValidation:
             est = estimate_escape_time(
                 field_fn, x, horizon=PROBE_HORIZON, cap=PROBE_CAP
             )
-        except (IntegrationError, EvalDomainError) as exc:
+        except (IntegrationError, EvalDomainError, ValueError) as exc:
             probes.append(ProbeResult(x, PROBE_STATUS_FAILED, None, str(exc)))
             continue
         probes.append(

@@ -5,13 +5,15 @@
 prints the verdict (LOCAL, GLOBAL, or INCONCLUSIVE) and writes
 ``eigenfunction.csv``, ``report.json`` and ``figure.svg`` into the output
 directory.  Exit codes: 0 for a Local or Global verdict, 2 for
-Inconclusive, 1 for usage or numeric errors.
+Inconclusive, 1 for usage or numeric errors; a usage error prints its
+reason.
 
-Options may come from a flat ``key = value`` config file (same keys as the
-long flags, without the dashes); explicit flags win over the file.  With
-``--sweep`` the single (z, n) point is widened to three grid sizes
-(n/2, n, 2n), three truncation points (z, 2z, 4z) and three eigenvalue
-candidates, and the verdict must be unanimous.
+``--config FILE`` reads a flat file of ``key = value`` lines.  The line
+``key = value`` is the flag ``--key=value``, read before the command line,
+so one parser converts both and a flag beats the file.  With ``--sweep``
+the single (z, n) point is widened to three grid sizes (n/2, n, 2n),
+three truncation points (z, 2z, 4z) and three eigenvalue candidates, and
+the verdict must be unanimous.
 
 All artifacts are deterministic byte-for-byte for a fixed configuration.
 """
@@ -22,7 +24,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from xml.sax.saxutils import escape as xml_escape
 
 import numpy as np
@@ -37,7 +38,7 @@ from .classify import (
     classify_sweep,
     cross_validate,
 )
-from .descent import DescentConfig
+from .descent import INIT_ONES, INIT_RANDOM, DescentConfig
 from .flows import IntegrationError
 
 __all__ = ["main", "emit_csv", "emit_svg", "build_report"]
@@ -46,80 +47,98 @@ EXIT_VERDICT = 0
 EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
-DEFAULT_Z = 10.0
-DEFAULT_N = 400
-DEFAULT_LAMS = (1.0,)
-SWEEP_LAMS = (0.5, 1.0, 2.0)
 EMIT_CHOICES = ("csv", "json", "svg")
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; this tool reserves 2
-    for the Inconclusive verdict, so usage errors exit 1 instead."""
+    for the Inconclusive verdict, so a usage error is raised as
+    ``ValueError`` and ``main`` reports it and exits 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_ERROR)
+        raise ValueError(message)
+
+
+def _parse_lam_list(text: str):
+    if not text.strip():
+        raise argparse.ArgumentTypeError("lambda list is empty")
+    try:
+        return tuple(float(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad lambda list {text!r}") from None
+
+
+def _parse_emit_list(text: str):
+    kinds = tuple(part.strip() for part in text.split(",") if part.strip())
+    for kind in kinds:
+        if kind not in EMIT_CHOICES:
+            raise argparse.ArgumentTypeError(
+                f"unknown emit kind {kind!r}; choose from {EMIT_CHOICES}"
+            )
+    if not kinds:
+        raise argparse.ArgumentTypeError("emit list is empty")
+    return kinds
+
+
+def _parse_bool(text: str) -> bool:
+    value = text.lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise argparse.ArgumentTypeError(
+        f"expected one of 1/true/yes or 0/false/no, got {text!r}"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of flags and config lines: each option's converter and
+    default is given here once.  ``allow_abbrev=False`` makes a config key
+    name its flag exactly."""
     parser = _Parser(
         prog="blowup",
+        allow_abbrev=False,
         description=(
             "Decide whether the flow u' = B(u) on the half-line is global or "
             "blows up in finite time, by searching for a bounded eigenfunction "
             "of the flow's generator on a truncated grid."
         ),
     )
-    parser.add_argument("--field", help="field expression B(x), e.g. 'x^2'")
-    parser.add_argument("--z", help="truncation point (default 10)")
-    parser.add_argument("--n", help="number of grid cells (default 400)")
-    parser.add_argument(
-        "--lambda",
-        dest="lam",
-        metavar="LIST",
-        help="comma-separated eigenvalue candidates (default 1)",
+    add = parser.add_argument
+    add("--field", help="field expression B(x), e.g. 'x^2' (required)")
+    add("--z", type=float, default=10.0, help="truncation point (default 10)")
+    add("--n", type=int, default=400, help="number of grid cells (default 400)")
+    add(
+        "--lambda", dest="lam", metavar="LIST", type=_parse_lam_list,
+        help="comma-separated eigenvalue candidates (default 1; 0.5,1,2 with --sweep)",
     )
-    parser.add_argument(
-        "--sweep",
-        action="store_true",
-        default=None,
+    add(
+        "--sweep", nargs="?", const=True, default=False, type=_parse_bool,
+        metavar="BOOL",
         help="widen to a 3x3x3 sweep over n, z and lambda",
     )
-    parser.add_argument("--init", choices=("ones", "random"), help="starting vector")
-    parser.add_argument("--seed", help="seed for --init random (default 0)")
-    parser.add_argument("--out", help="output directory (default current)")
-    parser.add_argument(
-        "--emit",
-        metavar="LIST",
+    add(
+        "--init", choices=(INIT_ONES, INIT_RANDOM), default=DescentConfig.init,
+        help="descent starting vector",
+    )
+    add("--seed", type=int, default=DescentConfig.seed, help="seed for --init random")
+    add("--out", default=".", help="output directory (default current)")
+    add(
+        "--emit", metavar="LIST", type=_parse_emit_list, default=EMIT_CHOICES,
         help="comma-separated artifact kinds from csv,json,svg (default all)",
     )
-    parser.add_argument("--max-iters", dest="max_iters", help="descent iteration cap")
-    parser.add_argument("--config", help="flat key = value config file")
+    add(
+        "--max-iters", dest="max_iters", type=int, default=DescentConfig.max_iters,
+        help="descent iteration cap",
+    )
+    add("--config", help="flat key = value file; a line is the flag --key=value")
     return parser
 
 
-# --------------------------------------------------------------------------
-# option merging
-# --------------------------------------------------------------------------
-
-@dataclass
-class RunConfig:
-    field_text: str
-    z: float
-    n: int
-    lams: tuple
-    sweep: bool
-    init: str
-    seed: int
-    out: str
-    emit: tuple
-    max_iters: int
-
-
-def read_config_file(path: str) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment; keys match flags."""
-    options = {}
+def read_config_file(path: str) -> list:
+    """Flat ``key = value`` lines as the arguments ``--key=value``; '#'
+    starts a comment.  A file cannot name another config file."""
+    args = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -128,89 +147,22 @@ def read_config_file(path: str) -> dict:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            options[key.strip()] = value.strip()
-    return options
+            key = key.strip()
+            if key == "config":
+                raise ValueError(f"{path}:{lineno}: a config file cannot set 'config'")
+            args.append(f"--{key}={value.strip()}")
+    return args
 
 
-def _parse_lam_list(text: str):
-    if not text.strip():
-        raise ValueError("lambda list is empty")
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"bad lambda list {text!r}") from None
-
-
-def _parse_emit_list(text: str):
-    kinds = tuple(part.strip() for part in text.split(",") if part.strip())
-    for kind in kinds:
-        if kind not in EMIT_CHOICES:
-            raise ValueError(f"unknown emit kind {kind!r}; choose from {EMIT_CHOICES}")
-    if not kinds:
-        raise ValueError("emit list is empty")
-    return kinds
-
-
-def _parse_bool(text) -> bool:
-    value = str(text).lower()
-    if value in ("1", "true", "yes"):
-        return True
-    if value in ("0", "false", "no"):
-        return False
-    raise ValueError(f"expected one of 1/true/yes or 0/false/no, got {text!r}")
-
-
-def merge_options(args, config: dict) -> RunConfig:
-    """Combine flags and config-file values; flags win.
-
-    A flag's value and a config-file value go through the same converter,
-    and a value it rejects is reported under its key.
-    """
-    known = {
-        "field", "z", "n", "lambda", "sweep", "init", "seed", "out",
-        "emit", "max-iters",
-    }
-    for key in config:
-        if key not in known:
-            raise ValueError(f"unknown config key {key!r}")
-
-    def pick(flag_value, key, default, convert=str):
-        value = config.get(key) if flag_value is None else flag_value
-        if value is None:
-            return default
-        try:
-            return convert(value)
-        except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from None
-
-    field_text = pick(args.field, "field", None)
-    if field_text is None:
-        raise ValueError("a field expression is required (--field or config)")
-
-    sweep = pick(args.sweep, "sweep", False, _parse_bool)
-    lam_default = SWEEP_LAMS if sweep else DEFAULT_LAMS
-    return RunConfig(
-        field_text=field_text,
-        z=pick(args.z, "z", DEFAULT_Z, float),
-        n=pick(args.n, "n", DEFAULT_N, int),
-        lams=pick(args.lam, "lambda", lam_default, _parse_lam_list),
-        sweep=sweep,
-        init=pick(args.init, "init", "ones"),
-        seed=pick(args.seed, "seed", 0, int),
-        out=pick(args.out, "out", "."),
-        emit=pick(args.emit, "emit", EMIT_CHOICES, _parse_emit_list),
-        max_iters=pick(args.max_iters, "max-iters", 20000, int),
-    )
-
-
-def build_plan(run: RunConfig) -> SweepPlan:
-    if run.sweep:
+def build_plan(args) -> SweepPlan:
+    """The run's grids; lambda defaults to 1, or to SweepPlan's with --sweep."""
+    if args.sweep:
         return SweepPlan(
-            ns=(max(2, run.n // 2), run.n, 2 * run.n),
-            zs=(run.z, 2 * run.z, 4 * run.z),
-            lams=run.lams,
+            ns=(max(2, args.n // 2), args.n, 2 * args.n),
+            zs=(args.z, 2 * args.z, 4 * args.z),
+            lams=args.lam or SweepPlan.lams,
         )
-    return SweepPlan(ns=(run.n,), zs=(run.z,), lams=run.lams)
+    return SweepPlan(ns=(args.n,), zs=(args.z,), lams=args.lam or (1.0,))
 
 
 # --------------------------------------------------------------------------
@@ -299,10 +251,10 @@ def emit_svg(grid, g, title: str, path: str):
         )
 
 
-def build_report(run: RunConfig, plan, classification, validation) -> dict:
+def build_report(args, plan, classification, validation) -> dict:
     return {
         "schema": 1,
-        "field": run.field_text,
+        "field": args.field,
         "verdict": classification.verdict,
         "norm_ratio": classification.norm_ratio,
         "rel_residual": classification.rel_residual,
@@ -347,41 +299,38 @@ def _join_value_flags(argv):
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser().parse_args(_join_value_flags(list(argv)))
+    argv = _join_value_flags(sys.argv[1:] if argv is None else list(argv))
+    parser = build_parser()
     try:
-        config = read_config_file(args.config) if args.config else {}
-        run = merge_options(args, config)
-        field = expr.parse(run.field_text)
-        plan = build_plan(run)
-        cfg = DescentConfig(max_iters=run.max_iters, init=run.init, seed=run.seed)
+        args = parser.parse_args(argv)
+        # the first pass finds --config; the file's lines go first, so flags win
+        if args.config:
+            args = parser.parse_args(read_config_file(args.config) + argv)
+        if args.field is None:
+            raise ValueError("a field expression is required (--field or config)")
+        field = expr.parse(args.field)
+        plan = build_plan(args)
+        cfg = DescentConfig(max_iters=args.max_iters, init=args.init, seed=args.seed)
         classification = classify_sweep(field, plan, cfg)
         validation = cross_validate(field, classification)
-    except (
-        expr.ExprSyntaxError,
-        expr.EvalDomainError,
-        IntegrationError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (expr.EvalDomainError, IntegrationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
     try:
-        os.makedirs(run.out, exist_ok=True)
+        os.makedirs(args.out, exist_ok=True)
         written = []
-        if "csv" in run.emit:
-            path = os.path.join(run.out, "eigenfunction.csv")
+        if "csv" in args.emit:
+            path = os.path.join(args.out, "eigenfunction.csv")
             emit_csv(classification.grid, classification.profile, path)
             written.append(path)
-        if "json" in run.emit:
-            path = os.path.join(run.out, "report.json")
-            emit_json(build_report(run, plan, classification, validation), path)
+        if "json" in args.emit:
+            path = os.path.join(args.out, "report.json")
+            emit_json(build_report(args, plan, classification, validation), path)
             written.append(path)
-        if "svg" in run.emit:
-            path = os.path.join(run.out, "figure.svg")
-            emit_svg(classification.grid, classification.profile, run.field_text, path)
+        if "svg" in args.emit:
+            path = os.path.join(args.out, "figure.svg")
+            emit_svg(classification.grid, classification.profile, args.field, path)
             written.append(path)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

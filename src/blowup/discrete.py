@@ -117,8 +117,8 @@ class DiscreteGenerator:
 
     @classmethod
     def from_field(cls, field, grid: Grid, lam: float):
-        """Sample a callable field at the grid nodes."""
-        v = np.array([field(x) for x in grid.nodes], dtype=float)
+        """Sample a callable field at the grid nodes, passed as Python floats."""
+        v = np.array([field(x) for x in grid.nodes.tolist()], dtype=float)
         return cls(grid, v, lam)
 
     def with_lam(self, lam: float):

@@ -177,6 +177,8 @@ def test_plan_validation():
         SweepPlan(ns=(1,))
     with pytest.raises(ValueError, match="40.7"):
         SweepPlan(ns=(40.7,))
+    with pytest.raises(ValueError, match="n=1"):
+        SweepPlan(ns=(200, 1))
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match=repr(bad)):
             SweepPlan(lams=(bad,))
@@ -388,6 +390,19 @@ def test_cross_validate_catches_the_false_local_of_linear_growth():
     assert c.verdict == LOCAL
     assert report.agreement is False
     assert all(p.status == "survived" for p in report.probes)
+
+
+def test_cross_validate_records_probes_past_the_cap_as_failed():
+    # probe states run to 15z/16, so z = 2e8 puts the upper half of them
+    # past PROBE_CAP = 1e8; those fail without ending the cross-check
+    field = parse("x^2")
+    c = classify_sweep(field, SweepPlan(ns=(40,), zs=(2e8,), lams=(1.0,)))
+    report = cross_validate(field, c)
+    failed = [p for p in report.probes if p.status == "failed"]
+    assert [p.x for p in failed] == [x for x in probe_states(2e8) if x >= 1e8]
+    assert len(failed) == 4
+    assert all(p.error.startswith("cap 100000000.0 ") for p in failed)
+    assert report.agreement is True
 
 
 def test_cross_validate_inconclusive_has_no_agreement():

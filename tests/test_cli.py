@@ -1,13 +1,15 @@
 """Command-line behavior: flags, config files, artifacts, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blowup.cli import emit_csv, emit_svg, main
+from blowup.cli import build_parser, emit_csv, emit_svg, main, read_config_file
 from blowup.discrete import Grid
 
 # a small grid keeps each CLI invocation well under a second
@@ -59,9 +61,24 @@ def test_syntax_error_exit_one(tmp_path, capsys):
 
 
 def test_usage_error_exit_one(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["--bogus"])
-    assert info.value.code == 1
+    code, _, err = run_cli(["--bogus"], capsys)
+    assert code == 1
+    assert "--bogus" in err
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["--field", "x^2", "--init", "foo"], "invalid choice: 'foo'"),
+        (["--field", "x^2", "--z"], "argument --z: expected one argument"),
+    ],
+)
+def test_usage_error_names_its_problem(argv, reason, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert reason in err
+    assert out == ""
 
 
 def test_missing_field_exit_one(capsys):
@@ -241,6 +258,70 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     code, _, err = run_cli(["--config", str(cfg)], capsys)
     assert code == 1
     assert "colour" in err
+
+
+@pytest.mark.parametrize(
+    "line, key", [("fie = x^2", "--fie"), ("config = other.cfg", "'config'")]
+)
+def test_config_key_must_name_a_flag_exactly(tmp_path, capsys, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"field = x^2\n{line}\n")
+    code, out, err = run_cli(["--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert key in err
+    assert "wrote" not in out
+
+
+@pytest.mark.parametrize(
+    "word, sweep",
+    [
+        ("1", True), ("TRUE", True), ("Yes", True),
+        ("0", False), ("fAlSe", False), ("NO", False),
+    ],
+)
+def test_config_sweep_reads_each_boolean_word_in_any_case(tmp_path, word, sweep):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"field = x^2\nsweep = {word}\n")
+    args = build_parser().parse_args(read_config_file(str(cfg)))
+    assert args.sweep is sweep
+
+
+def test_flag_beats_config_for_every_key(tmp_path, capsys):
+    # the file sets every key to a value that fails or differs; the flags
+    # set every key again, so the run must equal the flags-only run
+    flags = [
+        "--field", "x^2", "--z", "10", "--n", "40", "--lambda", "1",
+        "--sweep=no", "--init", "random", "--seed", "3", "--emit", "json",
+        "--max-iters", "20000",
+    ]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "field = x*(\nz = -1\nn = 1\nlambda = -1\nsweep = yes\ninit = ones\n"
+        f"seed = -1\nemit = csv\nmax-iters = 0\nout = {tmp_path / 'file'}\n"
+    )
+    assert run_cli([*flags, "--out", str(tmp_path / "ref")], capsys)[0] == 0
+    code, _, _ = run_cli(
+        ["--config", str(cfg), *flags, "--out", str(tmp_path / "flag")], capsys
+    )
+    assert code == 0
+    assert not (tmp_path / "file").exists()
+    assert sorted(p.name for p in (tmp_path / "flag").iterdir()) == ["report.json"]
+    assert (tmp_path / "flag" / "report.json").read_bytes() == (
+        tmp_path / "ref" / "report.json"
+    ).read_bytes()
+
+
+def test_readme_flag_table_lists_the_parser_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"^\| `(--[a-z-]+)", section, flags=re.MULTILINE))
+    options = {
+        option
+        for action in build_parser()._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert documented == options
 
 
 def test_config_rejects_malformed_lines(tmp_path, capsys):

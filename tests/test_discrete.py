@@ -14,7 +14,7 @@ from scipy.linalg import cho_solve_banded
 
 import dense
 from blowup.discrete import DiscreteGenerator, Grid, Preconditioner
-from blowup.expr import parse
+from blowup.expr import EvalDomainError, parse
 
 
 def make_operator(rng, n=12, z=6.0):
@@ -52,6 +52,16 @@ def test_grid_validation():
 # --------------------------------------------------------------------------
 # differences
 # --------------------------------------------------------------------------
+
+def test_field_is_sampled_on_python_floats():
+    seen = set()
+    DiscreteGenerator.from_field(lambda x: seen.add(type(x)) or 0.0, Grid(1.0, 4), 1.0)
+    assert seen == {float}
+    with pytest.raises(EvalDomainError) as info:
+        DiscreteGenerator.from_field(parse("exp(x^2)"), Grid(40.0, 40), 1.0)
+    assert str(info.value) == "exp(729.0) overflows"
+    assert "np.float64" not in str(info.value)
+
 
 def test_difference_kills_constants():
     grid = Grid(5.0, 10)
