@@ -14,7 +14,7 @@ Quick use::
     from blowup import parse, Grid, SweepPlan, classify_sweep
 
     field = parse("x^2")
-    result = classify_sweep(field, SweepPlan(ns=(400,), zs=(10.0,), lams=(1.0,)))
+    result = classify_sweep(field, SweepPlan(ns=(400,), zs=(10.0,), lam=1.0))
     print(result.verdict)          # "Local"
 """
 

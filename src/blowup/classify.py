@@ -20,8 +20,10 @@ than silently flipping a verdict.  THETA_GLOBAL sits above the descent's
 COLLAPSE_RATIO, where a collapsing run stops, so a collapsed point reads
 Global.
 
-A sweep repeats the run over grids of several sizes, truncation points
-and eigenvalue candidates, and issues a verdict only on unanimity.
+A sweep repeats the run over grids of several sizes and truncation
+points, and issues a verdict only on unanimity.  It runs at one eigenvalue
+candidate: if g is an eigenfunction with eigenvalue lam, then g^(mu/lam)
+is one with eigenvalue mu, so one lam decides.
 :func:`cross_validate` then checks the verdict against direct numeric
 integration of trajectories, a computation that shares nothing with the
 descent path.
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -98,41 +100,46 @@ class Evidence:
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """Grid sizes, truncation points and eigenvalue candidates; every
-    (n, z) pair must make a :class:`Grid`."""
+    """Grid sizes, truncation points and the eigenvalue candidate; every
+    (n, z) pair must make a :class:`Grid`.
+
+    ``lams=(x,)`` is the older spelling of ``lam=x``, kept because
+    ``bench/test_bench.py`` still builds its plan that way.
+    """
 
     ns: tuple = (200, 400, 800)
     zs: tuple = (10.0, 20.0, 40.0)
-    lams: tuple = (0.5, 1.0, 2.0)
+    lam: float = 1.0
+    lams: InitVar[tuple | None] = None
 
-    def __post_init__(self):
-        if not self.ns or not self.zs or not self.lams:
-            raise ValueError("sweep plan needs at least one n, one z and one lam")
+    def __post_init__(self, lams):
+        if lams is not None:
+            if len(lams) != 1:
+                raise ValueError(f"a sweep plan takes one lam, got lams={lams!r}")
+            object.__setattr__(self, "lam", lams[0])
+        if not self.ns or not self.zs:
+            raise ValueError("sweep plan needs at least one n and one z")
         for n, z in itertools.product(self.ns, self.zs):
             Grid(z, n)
-        for lam in self.lams:
-            if not (math.isfinite(lam) and lam > 0):
-                raise ValueError(
-                    f"eigenvalue candidates must be finite and positive, got {lam!r}"
-                )
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(
+                f"the eigenvalue candidate must be finite and positive, got {self.lam!r}"
+            )
 
     def points(self):
-        """All (n, z, lam) combinations, in deterministic sorted order."""
-        return sorted(
-            (n, z, lam) for n in self.ns for z in self.zs for lam in self.lams
-        )
+        """All (n, z, lam) points, in deterministic sorted order."""
+        return sorted((n, z, self.lam) for n in self.ns for z in self.zs)
 
 
 @dataclass
 class Classification:
     """Sweep verdict plus the evidence behind it.
 
-    norm_ratio and rel_residual summarize the representative point (the
-    finest grid; ties broken toward lam nearest 1).  ``eigenfunction`` is
-    that point's final iterate normalized to sup-norm 1, present only for
-    a Local verdict.  ``profile`` is the same iterate unnormalized, kept
-    for every verdict so the raw descent outcome can be inspected and
-    plotted.
+    norm_ratio and rel_residual summarize the representative point, the
+    finest grid.  ``eigenfunction`` is that point's final iterate
+    normalized to sup-norm 1, present only for a Local verdict.
+    ``profile`` is the same iterate unnormalized, kept for every verdict so
+    the raw descent outcome can be inspected and plotted.
     """
 
     verdict: str
@@ -157,14 +164,21 @@ def _label(norm_ratio, rel_residual):
     return INCONCLUSIVE
 
 
-def _point_evidence(op: DiscreteGenerator, cfg: DescentConfig) -> Evidence:
-    """Run one descent on ``op`` and label the outcome.
+def classify_once(
+    field_fn,
+    grid: Grid,
+    lam: float,
+    cfg: DescentConfig = DescentConfig(),
+) -> Evidence:
+    """Sample the field, run one descent and label the outcome; sampling
+    errors propagate.
 
     A point whose relative residual has a rounding floor eps*max|v|/(h*lam)
     above RHO_MAX cannot meet the Local residual test, so it gets no
     descent: it is unresolved, Inconclusive with ``error`` naming the floor.
     """
-    grid, lam = op.grid, op.lam
+    op = DiscreteGenerator.from_field(field_fn, grid, lam)
+    lam = op.lam
     floor = _EPS * float(np.abs(op.v).max()) / (grid.h * lam)
     if floor > RHO_MAX:
         error = f"unresolved: residual rounding floor {floor:.3g} exceeds RHO_MAX {RHO_MAX:g}"
@@ -181,50 +195,26 @@ def _point_evidence(op: DiscreteGenerator, cfg: DescentConfig) -> Evidence:
     )
 
 
-def classify_once(
-    field_fn,
-    grid: Grid,
-    lam: float,
-    cfg: DescentConfig = DescentConfig(),
-) -> Evidence:
-    """Sample the field, run one descent and label the outcome; sampling
-    errors propagate.  A point the grid cannot resolve gets no descent
-    (see :func:`_point_evidence`)."""
-    return _point_evidence(DiscreteGenerator.from_field(field_fn, grid, lam), cfg)
-
-
-def _representative(evidence):
-    """Finest-grid point (smallest spacing); ties go to lam nearest 1."""
-    return min(evidence, key=lambda e: (e.z / e.n, abs(e.lam - 1.0), e.lam))
-
-
 def classify_sweep(
     field_fn,
     plan: SweepPlan = SweepPlan(),
     cfg: DescentConfig = DescentConfig(),
 ) -> Classification:
-    """Classify at every sweep point and combine by unanimity.
+    """Classify at every grid (n, z) of the plan, at its lam, and combine
+    by unanimity.
 
-    The field is sampled once per grid (n, z); the points of that grid
-    share the samples, Q's factor and near_null's start, and differ only
-    in lam (:meth:`DiscreteGenerator.with_lam`).  Each point is labelled as
-    :func:`classify_once` labels it.  A grid whose sampling fails (field
-    undefined at a node) records the error at each of its points, and a
+    Each point is :func:`classify_once`'s.  A grid whose sampling fails
+    (field undefined at a node) records the error at its point, and a
     point the grid cannot resolve records why; either counts as
     Inconclusive, so the sweep is Inconclusive.  Invalid arguments still
     raise.
     """
     evidence = []
-    for (n, z), points in itertools.groupby(plan.points(), key=lambda p: p[:2]):
-        lams = [lam for _, _, lam in points]
+    for n, z, lam in plan.points():
         try:
-            op = DiscreteGenerator.from_field(field_fn, Grid(z, n), lams[0])
+            evidence.append(classify_once(field_fn, Grid(z, n), lam, cfg))
         except EvalDomainError as exc:
-            evidence.extend(
-                Evidence(n, z, lam, None, None, INCONCLUSIVE, str(exc)) for lam in lams
-            )
-            continue
-        evidence.extend(_point_evidence(op.with_lam(lam), cfg) for lam in lams)
+            evidence.append(Evidence(n, z, lam, None, None, INCONCLUSIVE, str(exc)))
 
     labels = {ev.label for ev in evidence}
     if labels == {LOCAL}:
@@ -235,7 +225,7 @@ def classify_sweep(
         verdict = INCONCLUSIVE
 
     computed = [ev for ev in evidence if ev.trace is not None]
-    rep = _representative(computed) if computed else evidence[0]
+    rep = min(computed, key=lambda e: e.z / e.n) if computed else evidence[0]
     if rep.trace is not None:
         profile = np.array(rep.trace.g_final, dtype=float)
     else:

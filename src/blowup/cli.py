@@ -11,9 +11,9 @@ reason.
 ``--config FILE`` reads a flat file of ``key = value`` lines.  The line
 ``key = value`` is the flag ``--key=value``, read before the command line,
 so one parser converts both and a flag beats the file.  With ``--sweep``
-the single (z, n) point is widened to three grid sizes (n/2, n, 2n),
-three truncation points (z, 2z, 4z) and three eigenvalue candidates, and
-the verdict must be unanimous.
+the single (z, n) point is widened to three grid sizes (n/2, n, 2n) and
+three truncation points (z, 2z, 4z), all at the one ``--lambda``, and the
+verdict must be unanimous.
 
 All artifacts are deterministic byte-for-byte for a fixed configuration.
 """
@@ -59,15 +59,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _parse_lam_list(text: str):
-    if not text.strip():
-        raise argparse.ArgumentTypeError("lambda list is empty")
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad lambda list {text!r}") from None
-
-
 def _parse_emit_list(text: str):
     kinds = tuple(part.strip() for part in text.split(",") if part.strip())
     for kind in kinds:
@@ -109,13 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
     add("--z", type=float, default=10.0, help="truncation point (default 10)")
     add("--n", type=int, default=400, help="number of grid cells (default 400)")
     add(
-        "--lambda", dest="lam", metavar="LIST", type=_parse_lam_list,
-        help="comma-separated eigenvalue candidates (default 1; 0.5,1,2 with --sweep)",
+        "--lambda", dest="lam", metavar="X", type=float, default=SweepPlan.lam,
+        help="eigenvalue candidate (default 1)",
     )
     add(
         "--sweep", nargs="?", const=True, default=False, type=_parse_bool,
         metavar="BOOL",
-        help="widen to a 3x3x3 sweep over n, z and lambda",
+        help="widen to a 3x3 sweep over n and z",
     )
     add(
         "--init", choices=(INIT_ONES, INIT_RANDOM), default=DescentConfig.init,
@@ -155,14 +146,14 @@ def read_config_file(path: str) -> list:
 
 
 def build_plan(args) -> SweepPlan:
-    """The run's grids; lambda defaults to 1, or to SweepPlan's with --sweep."""
+    """The run's grids, at the one lambda."""
     if args.sweep:
         return SweepPlan(
             ns=(max(2, args.n // 2), args.n, 2 * args.n),
             zs=(args.z, 2 * args.z, 4 * args.z),
-            lams=args.lam or SweepPlan.lams,
+            lam=args.lam,
         )
-    return SweepPlan(ns=(args.n,), zs=(args.z,), lams=args.lam or (1.0,))
+    return SweepPlan(ns=(args.n,), zs=(args.z,), lam=args.lam)
 
 
 # --------------------------------------------------------------------------
@@ -263,7 +254,7 @@ def build_report(args, plan, classification, validation) -> dict:
         "plan": {
             "ns": list(plan.ns),
             "zs": list(plan.zs),
-            "lams": list(plan.lams),
+            "lam": plan.lam,
             "theta_local": THETA_LOCAL,
             "theta_global": THETA_GLOBAL,
             "rho_max": RHO_MAX,

@@ -18,8 +18,7 @@ which gives R g_next and phi(g_next) and becomes the next M g.  R g_next
 is applied afresh rather than updated as R g - s R d, which would round
 differently and blunt the test for an increase of phi.  The span test and
 the cycle's coefficient along w reuse the carried M g.  Q's factor and
-near_null's start vector do not depend on lam; they are built once per
-grid (see ``DiscreteGenerator.with_lam``).
+near_null's start vector are built once per operator, on first use.
 
 What the final iterate means: when R is far from singular the descent
 drives g toward zero, and when R is nearly singular the descent
@@ -49,12 +48,13 @@ P^(rest/2) g, and the run stops:
 ``certified``  otherwise; g is scaled by P^(rest/2), so the trace reports
                what the capped run would have reached.
 
-On the default sweep the cycle stops every ``-x^2`` point, 13 ``sin(x)``
-points and one each of ``x^3`` and ``x*(x-1)``; most coarse-grid points
-(n = 40 or 100) stop by it as well.  A cycle can be transient: for ``x`` at n = 40,
-lam = 0.5 the descent leaves its first cycle for a slower one, and the
-stop sits 2e-3 below the capped run's ratio.  Where the cycle forms too
-late or not at all, the span test is the fallback:
+On the default sweep (lam = 1) the cycle stops every ``-x^2`` and ``-x``
+point, 6 of the 9 ``sin(x)`` points and one ``x^3`` point; most
+coarse-grid points (n = 40 or 100) stop by it as well.  A cycle can be
+transient: for ``x`` at n = 40, lam = 0.5 the descent leaves its first
+cycle for a slower one, and the stop sits 2e-3 below the capped run's
+ratio.  Where the cycle forms too late or not at all, the span test is the
+fallback:
 
 ``certified``  the Q-norm distance of g from span(w) is at most
                CERTIFY_TOL of ||g||_Q, and the rest of the budget would
@@ -68,10 +68,10 @@ late or not at all, the span test is the fallback:
 ``collapsed``  ||g||_inf has actually fallen to COLLAPSE_RATIO of its
                start.
 
-The default-grid ``x^2``, ``x^1.5``, ``x*ln(1+x)`` and ``x`` points certify
-by the span test after 10-28 steps, before a cycle can be detected; ``x``
-at lam = 1 (R exactly singular) and the rounding-limited ``exp(x)``
-points never form a cycle.
+The default-sweep ``x^2``, ``x^1.5``, ``x*ln(1+x)`` and ``x`` points
+certify by the span test after 10-11 steps, before a cycle can be
+detected; ``x`` at lam = 1 (R exactly singular) and the rounding-limited
+``exp(x)`` points never form a cycle.
 
 Every test is relative to the iterate's own size, and neither the step
 sizes nor P change when g is scaled, so scaling the start vector by a

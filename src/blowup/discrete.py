@@ -19,18 +19,15 @@ The stencil is stored as a left-endpoint index l_j per row, with
 The eigenvalue-shifted residual operator is R = lam*I - M.  The descent
 preconditioner is Q = I + (v D)^T (v D), the identity plus a path
 Laplacian; its banded Cholesky factor comes from a pivot recurrence that
-subtracts nothing (see :class:`Preconditioner`).
-
-Only R depends on lam.  :meth:`DiscreteGenerator.with_lam` gives the
-operator at another lam on the same grid, sharing v, the stencil, Q's
-factor and the seeded start of ``descent.near_null``; the last two are
-built on first use.
+subtracts nothing (see :class:`Preconditioner`).  Q's factor and the
+seeded start of ``descent.near_null`` are built on first use, so a point
+that gets no descent builds neither.
 """
 
 from __future__ import annotations
 
-import copy
 import math
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -78,17 +75,6 @@ def _left_endpoints(v):
     return left
 
 
-class _Shared:
-    """What the operators of one grid share across lam; each piece is
-    built on first use."""
-
-    __slots__ = ("preconditioner", "null_start")
-
-    def __init__(self):
-        self.preconditioner = None
-        self.null_start = None
-
-
 class DiscreteGenerator:
     """The operators M = v * D and R = lam*I - M on a fixed grid.
 
@@ -113,7 +99,6 @@ class DiscreteGenerator:
         # 0/1 masks of the forward (l_j = j) and backward rows
         self._forward = (self._left == np.arange(grid.n + 1)).astype(float)
         self._backward = 1.0 - self._forward
-        self._shared = _Shared()
 
     @classmethod
     def from_field(cls, field, grid: Grid, lam: float):
@@ -121,35 +106,18 @@ class DiscreteGenerator:
         v = np.array([field(x) for x in grid.nodes.tolist()], dtype=float)
         return cls(grid, v, lam)
 
-    def with_lam(self, lam: float):
-        """The operator at eigenvalue candidate ``lam`` on the same grid.
-
-        It shares v, the stencil, the preconditioner and the null start
-        with this one, so a factor built for either serves both.
-        """
-        op = copy.copy(self)
-        op.lam = float(lam)
-        return op
-
-    @property
+    @cached_property
     def preconditioner(self):
-        """Q's banded factor, built on first use; lam-free, so shared by
-        every :meth:`with_lam` sibling."""
-        shared = self._shared
-        if shared.preconditioner is None:
-            shared.preconditioner = Preconditioner(self)
-        return shared.preconditioner
+        """Q's banded factor, built on first use."""
+        return Preconditioner(self)
 
-    @property
+    @cached_property
     def null_start(self):
         """The seeded Gaussian start vector of ``descent.near_null``, drawn
-        on first use and shared like :attr:`preconditioner`; read-only."""
-        shared = self._shared
-        if shared.null_start is None:
-            start = np.random.default_rng(_NULL_START_SEED).standard_normal(self.grid.n + 1)
-            start.flags.writeable = False
-            shared.null_start = start
-        return shared.null_start
+        on first use; read-only."""
+        start = np.random.default_rng(_NULL_START_SEED).standard_normal(self.grid.n + 1)
+        start.flags.writeable = False
+        return start
 
     # -- core linear maps ---------------------------------------------------
 
@@ -220,10 +188,8 @@ class DiscreteGenerator:
 
 
 class Preconditioner:
-    """Q = I + (v D)^T (v D), factored once per grid, applied many times.
-
-    Q does not depend on lam, so one factor serves every lam on a grid
-    (see :attr:`DiscreteGenerator.preconditioner`).
+    """Q = I + (v D)^T (v D), factored once per operator, applied many
+    times (see :attr:`DiscreteGenerator.preconditioner`).
 
     Row j of C = v D is m_j (e_{l_j + 1} - e_{l_j}) with m = v/h, so C^T C
     is the path Laplacian with edge weights w_k = sum of m_j^2 over the rows

@@ -232,34 +232,6 @@ def _exp(value):
         raise EvalDomainError(f"exp({value!r}) overflows") from exc
 
 
-_CALLS = {"exp": _exp, "ln": _ln, "sin": math.sin, "cos": math.cos}
-
-
-def _eval_node(node, x):
-    op = node[0]
-    if op == "num":
-        return node[1]
-    if op == "var":
-        return x
-    if op == "neg":
-        return -_eval_node(node[1], x)
-    if op == "call":
-        return _CALLS[node[1]](_eval_node(node[2], x))
-    a = _eval_node(node[1], x)
-    b = _eval_node(node[2], x)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return _div(a, b)
-    if op == "^":
-        return _pow(a, b)
-    raise AssertionError(f"unknown node {op!r}")
-
-
 # x^2, x^3 and x^4 as the products _int_pow forms, in its order
 _INLINE_POWERS = {
     2.0: "({0} * {0})",
@@ -269,7 +241,8 @@ _INLINE_POWERS = {
 
 
 def _compile_source(node, temps=None):
-    # mirrors _eval_node operation for operation so results are bit-identical
+    # each node is one operation, in the AST's order, so the lambda rounds
+    # exactly as a walk of the tree does (tests/test_expr.py checks it)
     if temps is None:
         temps = itertools.count()
     op = node[0]
@@ -313,8 +286,7 @@ class FieldExpr:
 
     Call the instance to evaluate at a scalar.  The call path runs
     through a lambda compiled from the AST; it performs the same operations
-    in the same order as the reference tree walk (:meth:`eval_tree`), so
-    the two agree bit for bit.
+    in the same order as a walk of the tree, so the two agree bit for bit.
     """
 
     __slots__ = ("ast", "text", "_fn")
@@ -326,13 +298,6 @@ class FieldExpr:
 
     def __call__(self, x: float) -> float:
         value = self._fn(x)
-        if not math.isfinite(value):
-            raise EvalDomainError(f"{self.text!r} is not finite at x={x!r}")
-        return value
-
-    def eval_tree(self, x: float) -> float:
-        """Reference tree-walk evaluation (kept for cross-checking)."""
-        value = _eval_node(self.ast, x)
         if not math.isfinite(value):
             raise EvalDomainError(f"{self.text!r} is not finite at x={x!r}")
         return value

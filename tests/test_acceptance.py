@@ -146,14 +146,14 @@ def test_criterion_5_consistency_and_eigenvalue_sweep():
             )
 
     # the full default sweep must call the field Local, at every lam
-    sweep = classify_sweep(field, SweepPlan())
-    checks.append(("sweep verdict Local", sweep.verdict == LOCAL))
     for lam in (0.5, 1.0, 2.0):
+        sweep = classify_sweep(field, SweepPlan(lam=lam))
+        checks.append(("sweep verdict Local at lam=%g" % lam, sweep.verdict == LOCAL))
         at_lam = [ev for ev in sweep.evidence if ev.lam == lam]
         checks.append(
             (
                 "all sweep points Local at lam=%g" % lam,
-                bool(at_lam) and all(ev.label == LOCAL for ev in at_lam),
+                len(at_lam) == 9 and all(ev.label == LOCAL for ev in at_lam),
             )
         )
     report(5, "first-order consistency and eigenvalue sweep", checks)

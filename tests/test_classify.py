@@ -25,7 +25,7 @@ from blowup.expr import FieldExpr, parse
 
 # small grids keep each descent fast; the full-size runs live in the
 # acceptance suite
-FAST = SweepPlan(ns=(100,), zs=(10.0,), lams=(1.0,))
+FAST = SweepPlan(ns=(100,), zs=(10.0,), lam=1.0)
 
 
 def test_classify_once_blowup_field():
@@ -159,11 +159,15 @@ def test_plan_defaults_and_points():
     plan = SweepPlan()
     assert plan.ns == (200, 400, 800)
     assert plan.zs == (10.0, 20.0, 40.0)
-    assert plan.lams == (0.5, 1.0, 2.0)
+    assert plan.lam == 1.0
     pts = plan.points()
-    assert len(pts) == 27
+    assert len(pts) == 9
     assert pts == sorted(pts)
-    assert (200, 10.0, 0.5) in pts
+    assert (200, 10.0, 1.0) in pts
+    # the older spelling takes exactly one lam
+    assert SweepPlan(lams=(2.0,)) == SweepPlan(lam=2.0)
+    with pytest.raises(ValueError, match="one lam"):
+        SweepPlan(lams=(0.5, 1.0))
 
 
 def test_plan_validation():
@@ -172,7 +176,7 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         SweepPlan(zs=(0.0,))
     with pytest.raises(ValueError):
-        SweepPlan(lams=(-1.0,))
+        SweepPlan(lam=-1.0)
     with pytest.raises(ValueError):
         SweepPlan(ns=(1,))
     with pytest.raises(ValueError, match="40.7"):
@@ -181,7 +185,7 @@ def test_plan_validation():
         SweepPlan(ns=(200, 1))
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match=repr(bad)):
-            SweepPlan(lams=(bad,))
+            SweepPlan(lam=bad)
         with pytest.raises(ValueError, match=repr(bad)):
             SweepPlan(zs=(bad,))
 
@@ -213,7 +217,7 @@ def test_sweep_global_verdict_structure():
 def test_sweep_mixed_evidence_is_inconclusive():
     # x(x-1) is Local on a wide grid but its eigenfunction support needs
     # x > 1, so a grid truncated at z = 0.5 sees only the global part
-    plan = SweepPlan(ns=(100,), zs=(0.5, 10.0), lams=(1.0,))
+    plan = SweepPlan(ns=(100,), zs=(0.5, 10.0), lam=1.0)
     c = classify_sweep(parse("x*(x-1)"), plan)
     labels = {ev.label for ev in c.evidence}
     assert len(labels) > 1
@@ -228,24 +232,61 @@ def test_sweep_failed_point_is_inconclusive_with_error():
     assert c.evidence[0].label == INCONCLUSIVE
 
 
-def test_sweep_records_unresolved_points_as_inconclusive():
+def test_sweep_records_unresolved_points_as_inconclusive(monkeypatch):
     # on exp(x) the residual's rounding floor eps*max|v|/(h*lam) is 131-2090
     # at z = 40 and below 1e-5 elsewhere; the budget does not matter to
-    # which points are unresolved
-    c = classify_sweep(parse("exp(x)"), SweepPlan(), DescentConfig(max_iters=20))
-    unresolved = {(ev.n, ev.z, ev.lam) for ev in c.evidence if ev.error is not None}
-    assert unresolved == {
-        (n, 40.0, lam) for n in (200, 400, 800) for lam in (0.5, 1.0, 2.0)
-    }
-    for ev in c.evidence:
-        if ev.error is None:
-            assert ev.trace is not None
-        else:
-            assert "rounding floor" in ev.error
-            assert ev.label == INCONCLUSIVE
-            assert ev.trace is None
-            assert ev.norm_ratio is None
-    assert c.verdict == INCONCLUSIVE
+    # which points are unresolved, and an unresolved point factors no Q
+    factors = Counter()
+
+    def counted(self, op):
+        factors[op.grid.z] += 1
+        init(self, op)
+
+    init = Preconditioner.__init__
+    monkeypatch.setattr(Preconditioner, "__init__", counted)
+    for lam in (0.5, 1.0, 2.0):
+        factors.clear()
+        c = classify_sweep(parse("exp(x)"), SweepPlan(lam=lam), DescentConfig(max_iters=20))
+        assert factors == {10.0: 3, 20.0: 3}
+        unresolved = {(ev.n, ev.z, ev.lam) for ev in c.evidence if ev.error is not None}
+        assert unresolved == {(n, 40.0, lam) for n in (200, 400, 800)}
+        for ev in c.evidence:
+            if ev.error is None:
+                assert ev.trace is not None
+            else:
+                assert "rounding floor" in ev.error
+                assert ev.label == INCONCLUSIVE
+                assert ev.trace is None
+                assert ev.norm_ratio is None
+        assert c.verdict == INCONCLUSIVE
+
+
+def _unit_survivor(field, grid, lam):
+    g = classify_once(field, grid, lam).trace.g_final
+    return g / np.max(np.abs(g))
+
+
+@pytest.mark.parametrize("text", ["x^2", "x*(x-1)", "x^3"])
+def test_survivors_obey_the_eigenvalue_scaling_law(text):
+    # if g is an eigenfunction with eigenvalue 1, g^mu is one with
+    # eigenvalue mu, which is why a sweep needs one lam; on the grid the
+    # law holds to first order in h
+    field = parse(text)
+    for mu in (0.5, 2.0):
+        errors = []
+        for n in (100, 200, 400, 800):
+            grid = Grid(10.0, n)
+            g1, g_mu = _unit_survivor(field, grid, 1.0), _unit_survivor(field, grid, mu)
+            # x^3's survivor underflows to 0 near the origin: mask before the log
+            keep = (grid.nodes >= 2.0) & (g1 > 0.0) & (g_mu > 0.0)
+            ln1, ln_mu = np.log(g1[keep]), np.log(g_mu[keep])
+            keep = (ln1 > -25.0) & (ln_mu > -25.0)
+            scaled = mu * ln1[keep]
+            error = np.max(np.abs(ln_mu[keep] - scaled)) / np.max(np.abs(scaled))
+            assert error <= 0.1 * grid.h
+            errors.append(error)
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 0.4 <= fine / coarse <= 0.6
 
 
 def test_exp_survivor_at_z_20_agrees_with_z_10_at_equal_spacing():
@@ -257,22 +298,23 @@ def test_exp_survivor_at_z_20_agrees_with_z_10_at_equal_spacing():
     assert wide.norm_ratio == pytest.approx(narrow.norm_ratio, rel=0.05)
 
 
-SHARED_PLAN = SweepPlan(ns=(40, 80), zs=(10.0, 20.0), lams=(0.5, 1.0, 2.0))
+SHARED_PLAN = SweepPlan(ns=(40, 80), zs=(10.0, 20.0))
 
 
 @pytest.mark.parametrize("text", ["x^2", "x*(x-1)", "-x^2", "x"])
 def test_sweep_points_equal_classify_once(text):
-    # the sweep samples each grid once and shares it across lam; no point
-    # may differ from one computed on its own
+    # no sweep point may differ from one computed on its own, at any lam
     field = parse(text)
-    c = classify_sweep(field, SHARED_PLAN)
-    assert [(ev.n, ev.z, ev.lam) for ev in c.evidence] == SHARED_PLAN.points()
-    for ev in c.evidence:
-        alone = classify_once(field, Grid(ev.z, ev.n), ev.lam)
-        assert ev.as_dict() == alone.as_dict()
-        assert ev.trace.iterations == alone.trace.iterations
-        assert ev.trace.stop_reason == alone.trace.stop_reason
-        assert ev.trace.g_final.tobytes() == alone.trace.g_final.tobytes()
+    for lam in (0.5, 1.0, 2.0):
+        plan = SweepPlan(SHARED_PLAN.ns, SHARED_PLAN.zs, lam)
+        c = classify_sweep(field, plan)
+        assert [(ev.n, ev.z, ev.lam) for ev in c.evidence] == plan.points()
+        for ev in c.evidence:
+            alone = classify_once(field, Grid(ev.z, ev.n), ev.lam)
+            assert ev.as_dict() == alone.as_dict()
+            assert ev.trace.iterations == alone.trace.iterations
+            assert ev.trace.stop_reason == alone.trace.stop_reason
+            assert ev.trace.g_final.tobytes() == alone.trace.g_final.tobytes()
 
 
 def test_sweep_marks_every_lam_of_an_unsampleable_grid():
@@ -284,13 +326,13 @@ def test_sweep_marks_every_lam_of_an_unsampleable_grid():
             assert ev.trace is None and ev.label == INCONCLUSIVE
         else:
             assert ev.error is None and ev.trace is not None
-    assert len(c.evidence) == 12
+    assert len(c.evidence) == 4
     assert c.verdict == INCONCLUSIVE
 
 
 def test_default_sweep_work_counts(monkeypatch):
-    # samplings and factorizations are per grid (n, z), shared by the
-    # three lam; field evaluations are one per node of each grid
+    # one sampling and one factorization per grid (n, z); field
+    # evaluations are one per node of each grid
     counts = Counter()
 
     def counted(key, fn):
@@ -304,20 +346,20 @@ def test_default_sweep_work_counts(monkeypatch):
     monkeypatch.setattr(Preconditioner, "__init__", counted("factors", Preconditioner.__init__))
     monkeypatch.setattr(FieldExpr, "__call__", counted("evals", FieldExpr.__call__))
     c = classify_sweep(parse("x^2"))
-    assert len(c.evidence) == 27
+    assert len(c.evidence) == 9
     assert counts == {"samples": 9, "factors": 9, "evals": 3 * (201 + 401 + 801)}
 
 
 def test_sweep_representative_is_finest_grid():
-    plan = SweepPlan(ns=(50, 100), zs=(10.0,), lams=(0.5, 1.0, 2.0))
+    plan = SweepPlan(ns=(50, 100), zs=(10.0,), lam=2.0)
     c = classify_sweep(parse("x^2"), plan)
     assert c.grid.n == 100  # smallest spacing
-    assert c.lam == 1.0  # tie among lams broken toward 1
-    assert len(c.evidence) == 6
+    assert c.lam == 2.0
+    assert len(c.evidence) == 2
 
 
 def test_sweep_evidence_is_sorted():
-    plan = SweepPlan(ns=(100, 50), zs=(10.0, 5.0), lams=(1.0,))
+    plan = SweepPlan(ns=(100, 50), zs=(10.0, 5.0), lam=1.0)
     c = classify_sweep(parse("x^2"), plan)
     keys = [(ev.n, ev.z, ev.lam) for ev in c.evidence]
     assert keys == sorted(keys)
@@ -396,7 +438,7 @@ def test_cross_validate_records_probes_past_the_cap_as_failed():
     # probe states run to 15z/16, so z = 2e8 puts the upper half of them
     # past PROBE_CAP = 1e8; those fail without ending the cross-check
     field = parse("x^2")
-    c = classify_sweep(field, SweepPlan(ns=(40,), zs=(2e8,), lams=(1.0,)))
+    c = classify_sweep(field, SweepPlan(ns=(40,), zs=(2e8,), lam=1.0))
     report = cross_validate(field, c)
     failed = [p for p in report.probes if p.status == "failed"]
     assert [p.x for p in failed] == [x for x in probe_states(2e8) if x >= 1e8]

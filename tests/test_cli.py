@@ -109,7 +109,10 @@ def test_negative_seed_is_named_in_the_error(capsys):
 
 
 def test_empty_lists_are_rejected_from_flags_and_files(tmp_path, capsys):
-    for key, message in (("emit", "emit list is empty"), ("lambda", "lambda list is empty")):
+    for key, message in (
+        ("emit", "emit list is empty"),
+        ("lambda", "argument --lambda: invalid float value: ''"),
+    ):
         code, out, err = run_cli(
             ["--field", "x^2", *FAST, f"--{key}", "", "--out", str(tmp_path)], capsys
         )
@@ -121,6 +124,36 @@ def test_empty_lists_are_rejected_from_flags_and_files(tmp_path, capsys):
         code, _, err = run_cli(["--config", str(cfg)], capsys)
         assert code == 1
         assert message in err
+
+
+def test_lambda_takes_one_value_from_flags_and_files(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["--field", "x^2", *FAST, "--lambda", "0.5,1", "--out", str(tmp_path)], capsys
+    )
+    assert code == 1
+    assert "argument --lambda: invalid float value: '0.5,1'" in err
+    assert "wrote" not in out
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("field = x^2\nlambda = 0.5,1\n")
+    code, _, err = run_cli(["--config", str(cfg)], capsys)
+    assert code == 1
+    assert "argument --lambda: invalid float value: '0.5,1'" in err
+
+
+@pytest.mark.parametrize("flags, lam", [([], 1.0), (["--lambda", "2"], 2.0)])
+def test_sweep_is_three_by_three_at_one_lambda(tmp_path, capsys, flags, lam):
+    code, _, _ = run_cli(
+        ["--field", "x^2", "--z", "10", "--n", "40", "--sweep", *flags,
+         "--emit", "json", "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code != 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert (report["plan"]["ns"], report["plan"]["zs"]) == ([20, 40, 80], [10.0, 20.0, 40.0])
+    assert report["plan"]["lam"] == lam and report["lam"] == lam
+    assert [(ev["n"], ev["z"], ev["lam"]) for ev in report["evidence"]] == [
+        (n, z, lam) for n in (20, 40, 80) for z in (10.0, 20.0, 40.0)
+    ]
 
 
 def test_config_sweep_accepts_only_boolean_words(tmp_path, capsys):

@@ -372,14 +372,15 @@ def osgood_product(op):
 def test_the_survivor_is_the_discrete_osgood_product(text):
     # on every default-sweep grid; only the last row of R, a backward
     # difference, is left out of the product
-    for n, z, lam in SweepPlan().points():
-        op = DiscreteGenerator.from_field(parse(text), Grid(z, n), lam)
-        assert np.all(op.v >= 0.0)
-        p = osgood_product(op)
-        w = near_null(op).w
-        assert min(np.max(np.abs(w - p)), np.max(np.abs(w + p))) <= 1e-5
-        g = run_descent(op).g_final
-        assert np.max(np.abs(g / np.linalg.norm(g) - p)) <= 1e-4
+    for lam in (0.5, 1.0, 2.0):
+        for n, z, _ in SweepPlan(lam=lam).points():
+            op = DiscreteGenerator.from_field(parse(text), Grid(z, n), lam)
+            assert np.all(op.v >= 0.0)
+            p = osgood_product(op)
+            w = near_null(op).w
+            assert min(np.max(np.abs(w - p)), np.max(np.abs(w + p))) <= 1e-5
+            g = run_descent(op).g_final
+            assert np.max(np.abs(g / np.linalg.norm(g) - p)) <= 1e-4
 
 
 @pytest.mark.parametrize("text", ["x^2", "x*(x-1)", "x", "x^3"])

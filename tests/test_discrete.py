@@ -206,23 +206,21 @@ def test_kernels_are_bitwise_the_scatter_on_signed_zero_fields():
         assert_bitwise(op.apply_difference_transpose(w), dense.difference_transpose(op, w))
 
 
-def test_with_lam_shares_the_grid_pieces():
+def test_grid_pieces_are_built_once_on_first_use():
     op = DiscreteGenerator.from_field(parse("x*(x-1)"), Grid(10.0, 40), 1.0)
-    sibling = op.with_lam(2.0)
-    assert (op.lam, sibling.lam) == (1.0, 2.0)
-    assert sibling.grid is op.grid and sibling.v is op.v
-    assert sibling.preconditioner is op.preconditioner
-    assert sibling.null_start is op.null_start
+    assert "preconditioner" not in vars(op) and "null_start" not in vars(op)
+    assert op.preconditioner is op.preconditioner
+    assert op.null_start is op.null_start
     assert not op.null_start.flags.writeable
-    # R is the one thing that depends on lam
-    g = np.sin(op.grid.nodes)
-    assert_bitwise(sibling.residual(g), 2.0 * g - op.apply_generator(g))
-    assert_bitwise(sibling.apply_generator(g), op.apply_generator(g))
-    # an operator built from scratch has pieces of its own, bitwise equal
+    # an operator at another lam has pieces of its own, bitwise equal; R is
+    # the one thing that depends on lam
     fresh = DiscreteGenerator.from_field(parse("x*(x-1)"), Grid(10.0, 40), 2.0)
     assert fresh.preconditioner is not op.preconditioner
     assert fresh.preconditioner._factor.tobytes() == op.preconditioner._factor.tobytes()
     assert fresh.null_start.tobytes() == op.null_start.tobytes()
+    g = np.sin(op.grid.nodes)
+    assert_bitwise(fresh.residual(g), 2.0 * g - op.apply_generator(g))
+    assert_bitwise(fresh.apply_generator(g), op.apply_generator(g))
 
 
 @settings(max_examples=50)
