@@ -17,8 +17,8 @@ a step costs one application of R^T (grad phi = R^T R g), one Q solve
 which gives R g_next and phi(g_next) and becomes the next M g.  R g_next
 is applied afresh rather than updated as R g - s R d, which would round
 differently and blunt the test for an increase of phi.  The span test and
-the cycle's coefficient along w reuse the carried M g.  Q's factor and
-near_null's start vector are built once per operator, on first use.
+the cycle's coefficient along w reuse the carried M g.  Q is factored
+once per descent.
 
 What the final iterate means: when R is far from singular the descent
 drives g toward zero, and when R is nearly singular the descent
@@ -90,7 +90,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import lapack
 
-from .discrete import DiscreteGenerator
+from .discrete import DiscreteGenerator, Preconditioner
 
 __all__ = [
     "DescentConfig",
@@ -125,6 +125,9 @@ COLLAPSE_RATIO = 1e-6
 # shift of lam, relative to R's largest entry, that makes an exactly
 # singular R invertible
 _SINGULAR_SHIFT = 1e-12
+# seed of near_null's start vector; any fixed seed works, ``ones`` does
+# not (it is an exact eigenvector of R, with eigenvalue lam)
+_NULL_START_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -234,14 +237,14 @@ def _inverse_iteration(ab, x):
 def near_null(op: DiscreteGenerator) -> NearNull:
     """Smallest right singular pair of R = lam*I - M, by inverse iteration.
 
-    Two steps on R^T R from the grid's seeded random start
-    (``op.null_start``), each a tridiagonal solve with R^T and one with R.
+    Two steps on R^T R from a seeded Gaussian start, each a tridiagonal
+    solve with R^T and one with R.
     When R is exactly singular (B = x at lam = 1 is, on every grid) lam is
     shifted by a relative 1e-12 of R's largest entry, which leaves w the
     null vector.
     """
     ab = op.residual_bands()
-    start = op.null_start
+    start = np.random.default_rng(_NULL_START_SEED).standard_normal(op.grid.n + 1)
     try:
         w = _inverse_iteration(ab, start)
     except np.linalg.LinAlgError:
@@ -300,12 +303,9 @@ def _cycle_stop(g_max, initial_norm, rate, pairs_left):
     limit = COLLAPSE_RATIO * initial_norm
     if rate**pairs_left * g_max > limit:
         return pairs_left, STOP_CERTIFIED
-    pairs = max(1, math.ceil(math.log(limit / g_max) / math.log(rate)))
-    # the logarithms round; settle on the exact smallest count
-    while pairs < pairs_left and rate**pairs * g_max > limit:
+    pairs = 1
+    while rate**pairs * g_max > limit:
         pairs += 1
-    while pairs > 1 and rate ** (pairs - 1) * g_max <= limit:
-        pairs -= 1
     return pairs, STOP_COLLAPSED
 
 
@@ -329,7 +329,7 @@ def run_descent(
             )
 
     lam = op.lam
-    precond = op.preconditioner
+    precond = Preconditioner(op)
     null = near_null(op)
     # the span test's shrink of w's component per step, 2 mu / mu_max with
     # mu_max replaced by 1 + lam^2: an approximation, not a bound

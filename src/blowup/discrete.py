@@ -19,15 +19,13 @@ The stencil is stored as a left-endpoint index l_j per row, with
 The eigenvalue-shifted residual operator is R = lam*I - M.  The descent
 preconditioner is Q = I + (v D)^T (v D), the identity plus a path
 Laplacian; its banded Cholesky factor comes from a pivot recurrence that
-subtracts nothing (see :class:`Preconditioner`).  Q's factor and the
-seeded start of ``descent.near_null`` are built on first use, so a point
-that gets no descent builds neither.
+subtracts nothing (see :class:`Preconditioner`); each descent factors Q
+once.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -38,10 +36,6 @@ __all__ = [
     "DiscreteGenerator",
     "Preconditioner",
 ]
-
-# seed of the start vector of ``descent.near_null``; any fixed seed works,
-# ``ones`` does not (it is an exact eigenvector of R, with eigenvalue lam)
-_NULL_START_SEED = 0
 
 
 class Grid:
@@ -105,19 +99,6 @@ class DiscreteGenerator:
         """Sample a callable field at the grid nodes, passed as Python floats."""
         v = np.array([field(x) for x in grid.nodes.tolist()], dtype=float)
         return cls(grid, v, lam)
-
-    @cached_property
-    def preconditioner(self):
-        """Q's banded factor, built on first use."""
-        return Preconditioner(self)
-
-    @cached_property
-    def null_start(self):
-        """The seeded Gaussian start vector of ``descent.near_null``, drawn
-        on first use; read-only."""
-        start = np.random.default_rng(_NULL_START_SEED).standard_normal(self.grid.n + 1)
-        start.flags.writeable = False
-        return start
 
     # -- core linear maps ---------------------------------------------------
 
@@ -188,8 +169,8 @@ class DiscreteGenerator:
 
 
 class Preconditioner:
-    """Q = I + (v D)^T (v D), factored once per operator, applied many
-    times (see :attr:`DiscreteGenerator.preconditioner`).
+    """Q = I + (v D)^T (v D), factored once per descent, applied at every
+    step.
 
     Row j of C = v D is m_j (e_{l_j + 1} - e_{l_j}) with m = v/h, so C^T C
     is the path Laplacian with edge weights w_k = sum of m_j^2 over the rows

@@ -11,16 +11,21 @@ into a small immutable AST.  The grammar, tightest binding first:
 Atoms are decimal numbers, the variable ``x``, calls of exp/ln/sin/cos,
 and parenthesized expressions.  So ``-x^2`` means ``-(x^2)``.
 
-Evaluation is exact IEEE double arithmetic over the AST.  Anything that
-would leave the reals (log of a nonpositive number, division by zero,
-overflow, a negative base under a fractional power) raises
-:class:`EvalDomainError` instead of letting a NaN or infinity escape.
+Evaluation is exact IEEE double arithmetic over the AST, and one domain
+rule covers every operation: a call that fails (log of a nonpositive
+number, division by zero, overflow, a negative base under a fractional
+power, sin of an infinity) or ends in a NaN or an infinity raises
+:class:`EvalDomainError` with the one message "'<text>' has no finite real
+value at x=<x>".  Parsing raises only :class:`ExprSyntaxError`: a literal
+that is not a finite double is out of range, and an expression nested
+deeper than the compiled evaluator can hold is nested too deeply.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 
 __all__ = [
     "FieldExpr",
@@ -48,6 +53,10 @@ class EvalDomainError(ArithmeticError):
 # tokens
 # --------------------------------------------------------------------------
 
+# a decimal literal in ASCII digits, with an optional exponent
+_NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+
+
 def _tokenize(text):
     """Yield (kind, value, offset) triples; kinds: num, name, op, lparen, rparen."""
     tokens = []
@@ -56,23 +65,12 @@ def _tokenize(text):
         c = text[i]
         if c.isspace():
             i += 1
-        elif c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            if i < n and text[i] == ".":
-                i += 1
-                while i < n and text[i].isdigit():
-                    i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j].isdigit():
-                    i = j
-                    while i < n and text[i].isdigit():
-                        i += 1
-            tokens.append(("num", float(text[start:i]), start))
+        elif number := _NUMBER.match(text, i):
+            value = float(number.group())
+            if not math.isfinite(value):
+                raise ExprSyntaxError("number out of range", i)
+            tokens.append(("num", value, i))
+            i = number.end()
         elif c.isalpha() or c == "_":
             start = i
             while i < n and (text[i].isalnum() or text[i] == "_"):
@@ -198,38 +196,9 @@ def _int_pow(base, k):
 def _pow(base, exponent):
     k = round(exponent)
     if exponent == k and abs(k) <= 4096:
-        k = int(k)
-        if k < 0:
-            power = _int_pow(base, -k)
-            if power == 0.0:  # a zero base, or one whose power underflows
-                raise EvalDomainError(f"{base!r} to the power {k} is not representable")
-            return 1.0 / power
-        return _int_pow(base, k)
-    if base < 0.0:
-        raise EvalDomainError("negative base with non-integer exponent")
-    try:
-        return math.pow(base, exponent)
-    except (OverflowError, ValueError) as exc:
-        raise EvalDomainError(f"pow({base!r}, {exponent!r}) not representable") from exc
-
-
-def _div(num, den):
-    if den == 0.0:
-        raise EvalDomainError("division by zero")
-    return num / den
-
-
-def _ln(value):
-    if value <= 0.0:
-        raise EvalDomainError(f"ln of non-positive value {value!r}")
-    return math.log(value)
-
-
-def _exp(value):
-    try:
-        return math.exp(value)
-    except OverflowError as exc:
-        raise EvalDomainError(f"exp({value!r}) overflows") from exc
+        # a zero (or underflowing) power of a negative k divides by zero
+        return 1.0 / _int_pow(base, -k) if k < 0 else _int_pow(base, k)
+    return math.pow(base, exponent)
 
 
 # x^2, x^3 and x^4 as the products _int_pow forms, in its order
@@ -263,19 +232,16 @@ def _compile_source(node, temps=None):
         first, rest = _INLINE_POWERS[node[2][1]].split("{0}", 1)
         return first + f"({name} := {a})" + rest.format(name)
     b = _compile_source(node[2], temps)
-    if op in "+-*":
+    if op in "+-*/":
         return f"({a} {op} {b})"
-    if op == "/":
-        return f"_c_div({a}, {b})"
     return f"_c_pow({a}, {b})"
 
 
 _COMPILE_GLOBALS = {
     "__builtins__": {},
-    "_c_div": _div,
     "_c_pow": _pow,
-    "_c_exp": _exp,
-    "_c_ln": _ln,
+    "_c_exp": math.exp,
+    "_c_ln": math.log,
     "_c_sin": math.sin,
     "_c_cos": math.cos,
 }
@@ -297,10 +263,13 @@ class FieldExpr:
         self._fn = eval(f"lambda x: {_compile_source(ast)}", dict(_COMPILE_GLOBALS))
 
     def __call__(self, x: float) -> float:
-        value = self._fn(x)
-        if not math.isfinite(value):
-            raise EvalDomainError(f"{self.text!r} is not finite at x={x!r}")
-        return value
+        try:
+            value = self._fn(x)
+            if math.isfinite(value):
+                return value
+        except (ArithmeticError, ValueError):
+            pass
+        raise EvalDomainError(f"{self.text!r} has no finite real value at x={x!r}")
 
     def __repr__(self):
         return f"FieldExpr({self.text!r})"
@@ -309,7 +278,11 @@ class FieldExpr:
 def parse(text: str) -> FieldExpr:
     """Parse expression text into a :class:`FieldExpr`.
 
-    Raises :class:`ExprSyntaxError` (with byte offset) on malformed input
-    or unknown identifiers.
+    Raises :class:`ExprSyntaxError` (with byte offset) on malformed input,
+    unknown identifiers, literals that are not finite, and nesting deeper
+    than Python's parser or stack holds.
     """
-    return FieldExpr(_parse_ast(text), text)
+    try:
+        return FieldExpr(_parse_ast(text), text)
+    except (RecursionError, SyntaxError) as exc:
+        raise ExprSyntaxError("expression nested too deeply", 0) from exc

@@ -322,7 +322,7 @@ def test_sweep_marks_every_lam_of_an_unsampleable_grid():
     c = classify_sweep(parse("1/(x-15)"), SHARED_PLAN)
     for ev in c.evidence:
         if ev.z == 20.0:
-            assert ev.error == "division by zero"
+            assert ev.error == "'1/(x-15)' has no finite real value at x=15.0"
             assert ev.trace is None and ev.label == INCONCLUSIVE
         else:
             assert ev.error is None and ev.trace is not None

@@ -60,6 +60,28 @@ def test_syntax_error_exit_one(tmp_path, capsys):
     assert "offset" in err
 
 
+# sin(x^400) meets an infinity at x = 6, where x^400 overflows, and
+# 2^(x^400) overflows from x = 1.25 on
+@pytest.mark.parametrize("text, x", [("sin(x^400)", 6.0), ("2^(x^400)", 1.25)])
+def test_unsampleable_field_exit_two_with_its_evidence(tmp_path, capsys, text, x):
+    code, out, err = run_cli(["--field", text, "--n", "40", "--out", str(tmp_path)], capsys)
+    assert (code, out.splitlines()[0], err) == (2, "INCONCLUSIVE", "")
+    evidence = json.loads((tmp_path / "report.json").read_text())["evidence"]
+    assert [ev["error"] for ev in evidence] == [
+        f"{text!r} has no finite real value at x={x!r}"
+    ]
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("x*1e400", "number out of range (offset 2)"),
+    ("-" * 300 + "x", "expression nested too deeply (offset 0)"),
+    ("x" + "+x" * 3000, "expression nested too deeply (offset 0)"),
+])
+def test_unparsable_field_exit_one(tmp_path, capsys, text, reason):
+    code, out, err = run_cli([f"--field={text}", "--out", str(tmp_path)], capsys)
+    assert (code, out, err) == (1, "", f"error: {reason}\n")
+
+
 def test_usage_error_exit_one(capsys):
     code, _, err = run_cli(["--bogus"], capsys)
     assert code == 1

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from blowup.expr import EvalDomainError, ExprSyntaxError, _div, _exp, _ln, _pow, parse
+from blowup.expr import EvalDomainError, ExprSyntaxError, _pow, parse
 
 
 def canonical(node):
@@ -20,7 +20,7 @@ def canonical(node):
     return f"({canonical(node[1])} {op} {canonical(node[2])})"
 
 
-_CALLS = {"exp": _exp, "ln": _ln, "sin": math.sin, "cos": math.cos}
+_CALLS = {"exp": math.exp, "ln": math.log, "sin": math.sin, "cos": math.cos}
 
 
 def _eval_node(node, x):
@@ -42,19 +42,26 @@ def _eval_node(node, x):
     if op == "*":
         return a * b
     if op == "/":
-        return _div(a, b)
+        return a / b
     if op == "^":
         return _pow(a, b)
     raise AssertionError(f"unknown node {op!r}")
 
 
+def domain_message(text, x):
+    return f"{text!r} has no finite real value at x={x!r}"
+
+
 def eval_tree(e, x):
-    """Reference evaluation of ``e`` by a walk of its AST, with the
-    compiled call's finiteness check."""
-    value = _eval_node(e.ast, x)
-    if not math.isfinite(value):
-        raise EvalDomainError(f"{e.text!r} is not finite at x={x!r}")
-    return value
+    """Reference evaluation of ``e`` by a walk of its AST, under the
+    compiled call's domain rule."""
+    try:
+        value = _eval_node(e.ast, x)
+        if math.isfinite(value):
+            return value
+    except (ArithmeticError, ValueError):
+        pass
+    raise EvalDomainError(domain_message(e.text, x))
 
 
 def test_numbers_and_variable():
@@ -118,6 +125,9 @@ def test_syntax_errors_carry_offset():
         parse("exp x")
     with pytest.raises(ExprSyntaxError):
         parse("1 @ 2")
+    for text in ("\u00b2", "1\u00b2", "\u0661"):  # only ASCII digits make numbers
+        with pytest.raises(ExprSyntaxError):
+            parse(text)
 
 
 def test_unknown_identifier_offset_points_at_name():
@@ -127,25 +137,60 @@ def test_unknown_identifier_offset_points_at_name():
 
 
 def test_domain_errors():
-    with pytest.raises(EvalDomainError):
-        parse("1/x")(0.0)
-    with pytest.raises(EvalDomainError):
-        parse("ln(x)")(0.0)
-    with pytest.raises(EvalDomainError):
-        parse("ln(x)")(-1.0)
-    with pytest.raises(EvalDomainError):
-        parse("x^0.5")(-4.0)
-    with pytest.raises(EvalDomainError):
-        parse("x^-1")(0.0)
-    with pytest.raises(EvalDomainError):
-        parse("exp(x)")(1000.0)
-    with pytest.raises(EvalDomainError):
-        parse("x/(x-1)")(1.0)
+    for text, x in (
+        ("1/x", 0.0),
+        ("ln(x)", 0.0),
+        ("ln(x)", -1.0),
+        ("ln(x)", -0.0),
+        ("x^0.5", -4.0),
+        ("x^-1", 0.0),
+        ("x^-2", 1e-200),  # the power underflows to zero
+        ("exp(x)", 1000.0),
+        ("x/(x-1)", 1.0),
+        ("sin(x^400)", 30.0),  # sin of an infinity
+        ("2^(x^400)", 30.0),  # an infinite exponent
+        ("2^(x^400 - x^400)", 30.0),  # a NaN exponent
+        ("ln(x*x - x*x)", 1e200),  # ln of a NaN
+    ):
+        with pytest.raises(EvalDomainError) as info:
+            parse(text)(x)
+        assert str(info.value) == domain_message(text, x)
 
 
 def test_huge_products_overflow_to_domain_error():
     with pytest.raises(EvalDomainError):
         parse("x*x")(1e200)
+
+
+def test_negative_base_with_a_large_integral_exponent():
+    # past 4096 an integral exponent goes to math.pow, which takes a
+    # negative base
+    assert parse("(-1)^5000")(0.0) == 1.0
+    assert parse("x^5001")(-1.0) == -1.0
+    assert parse("x^-5000")(-1.0) == 1.0
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("x*1e400", 2),
+    ("9" * 400, 0),
+    ("x + 1.5e309", 4),
+])
+def test_literals_that_are_not_finite_are_out_of_range(text, offset):
+    with pytest.raises(ExprSyntaxError) as info:
+        parse(text)
+    assert str(info.value) == f"number out of range (offset {offset})"
+    assert parse("1e-400")(0.0) == 0.0  # underflow to zero is finite
+
+
+@pytest.mark.parametrize("text", [
+    "-" * 300 + "x",  # more parentheses than Python's parser takes
+    "x" + "+x" * 3000,  # deeper than the compiler's recursion
+    "(" * 1000 + "x" + ")" * 1000,  # deeper than the parser's recursion
+])
+def test_deep_nesting_is_a_syntax_error(text):
+    with pytest.raises(ExprSyntaxError) as info:
+        parse(text)
+    assert str(info.value) == "expression nested too deeply (offset 0)"
 
 
 def test_canonical_round_trip():
@@ -188,6 +233,56 @@ def test_arithmetic_matches_python(a, b):
     assert parse("x + %r" % b)(a) == a + b
     assert parse("x * %r" % b)(a) == a * b
     assert parse("x - %r" % b)(a) == a - b
+
+
+# expression text from the grammar, with literals that overflow a double
+_LITERALS = st.one_of(
+    st.integers(0, 9).map(str),
+    st.floats(0.0, 1e308).map(repr),
+    st.sampled_from(["0.5", ".25", "1e-400", "1e400", "9" * 400]),
+)
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map(" ".join),
+        inner.map(lambda a: "-" + a),
+        st.tuples(st.sampled_from(["exp", "ln", "sin", "cos"]), inner).map("{0[0]}({0[1]})".format),
+        inner.map("({})".format),
+    )
+
+
+_TEXTS = st.recursive(_LITERALS | st.just("x"), _compound, max_leaves=12)
+
+
+@given(
+    _TEXTS,
+    st.floats(-50.0, 50.0) | st.sampled_from([0.0, -0.0, 1e-300, 1e300, -1e300]),
+)
+def test_grammar_expressions_obey_the_one_domain_rule(text, x):
+    # parsing raises only ExprSyntaxError; a call equals the walk bit for
+    # bit, or both raise the one EvalDomainError
+    try:
+        e = parse(text)
+    except ExprSyntaxError as exc:
+        assert str(exc).startswith("number out of range")
+        return
+    try:
+        fast = e(x)
+    except EvalDomainError as exc:
+        assert str(exc) == domain_message(text, x)
+        with pytest.raises(EvalDomainError):
+            eval_tree(e, x)
+        return
+    assert fast.hex() == eval_tree(e, x).hex()
+
+
+@given(st.text(st.sampled_from("x09.eE+-*/^() lnsi") | st.characters(), max_size=30))
+def test_parse_raises_only_syntax_errors(text):
+    try:
+        parse(text)
+    except ExprSyntaxError:
+        pass
 
 
 def test_repr_mentions_source_text():
