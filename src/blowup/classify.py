@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -87,15 +87,7 @@ class Evidence:
     trace: object = field(default=None, repr=False, compare=False)
 
     def as_dict(self):
-        return {
-            "n": self.n,
-            "z": self.z,
-            "lam": self.lam,
-            "norm_ratio": self.norm_ratio,
-            "rel_residual": self.rel_residual,
-            "label": self.label,
-            "error": self.error,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trace"}
 
 
 @dataclass(frozen=True)
@@ -291,19 +283,7 @@ class CrossValidation:
     profile_deviation: float | None
 
     def as_dict(self):
-        return {
-            "probes": [
-                {
-                    "x": p.x,
-                    "status": p.status,
-                    "escape_time": p.escape_time,
-                    "error": p.error,
-                }
-                for p in self.probes
-            ],
-            "agreement": self.agreement,
-            "profile_deviation": self.profile_deviation,
-        }
+        return asdict(self)
 
 
 def probe_states(z: float):

@@ -21,10 +21,10 @@ All artifacts are deterministic byte-for-byte for a fixed configuration.
 from __future__ import annotations
 
 import argparse
+import html
 import json
 import os
 import sys
-from xml.sax.saxutils import escape as xml_escape
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .classify import (
     classify_sweep,
     cross_validate,
 )
-from .descent import INIT_ONES, INIT_RANDOM, DescentConfig
+from .descent import DescentConfig
 from .flows import IntegrationError
 
 __all__ = ["main", "emit_csv", "emit_svg", "build_report"]
@@ -108,11 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BOOL",
         help="widen to a 3x3 sweep over n and z",
     )
-    add(
-        "--init", choices=(INIT_ONES, INIT_RANDOM), default=DescentConfig.init,
-        help="descent starting vector",
-    )
-    add("--seed", type=int, default=DescentConfig.seed, help="seed for --init random")
     add("--out", default=".", help="output directory (default current)")
     add(
         "--emit", metavar="LIST", type=_parse_emit_list, default=EMIT_CHOICES,
@@ -193,7 +188,8 @@ def _svg_document(xs, ys, title: str) -> str:
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.2f}" y="30" text-anchor="middle" '
-        f'font-family="monospace" font-size="16">{xml_escape(title)}</text>',
+        f'font-family="monospace" font-size="16">'
+        f"{html.escape(title, quote=False)}</text>",
         # axes
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
         f'y2="{height - margin}" stroke="black" stroke-width="1"/>',
@@ -273,14 +269,22 @@ def emit_json(report: dict, path: str):
 # entry point
 # --------------------------------------------------------------------------
 
-def _join_value_flags(argv):
-    """Rewrite ``--field -x`` as ``--field=-x`` so field expressions that
-    start with a minus sign are not mistaken for option names."""
+def _join_value_flags(parser, argv):
+    """Rewrite ``--field -x`` as ``--field=-x``, for every option of the
+    parser that takes exactly one value, so a value that starts with a
+    minus sign is not mistaken for an option name.  ``--sweep``, whose
+    value is optional, is left alone."""
+    takes_one = {
+        option
+        for action in parser._actions
+        if action.nargs is None
+        for option in action.option_strings
+    }
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--field", "--lambda") and i + 1 < len(argv):
+        if tok in takes_one and i + 1 < len(argv):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -290,8 +294,8 @@ def _join_value_flags(argv):
 
 
 def main(argv=None) -> int:
-    argv = _join_value_flags(sys.argv[1:] if argv is None else list(argv))
     parser = build_parser()
+    argv = _join_value_flags(parser, sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
         # the first pass finds --config; the file's lines go first, so flags win
@@ -301,14 +305,8 @@ def main(argv=None) -> int:
             raise ValueError("a field expression is required (--field or config)")
         field = expr.parse(args.field)
         plan = build_plan(args)
-        cfg = DescentConfig(max_iters=args.max_iters, init=args.init, seed=args.seed)
-        classification = classify_sweep(field, plan, cfg)
+        classification = classify_sweep(field, plan, DescentConfig(args.max_iters))
         validation = cross_validate(field, classification)
-    except (expr.EvalDomainError, IntegrationError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
-    try:
         os.makedirs(args.out, exist_ok=True)
         written = []
         if "csv" in args.emit:
@@ -323,7 +321,7 @@ def main(argv=None) -> int:
             path = os.path.join(args.out, "figure.svg")
             emit_svg(classification.grid, classification.profile, args.field, path)
             written.append(path)
-    except OSError as exc:
+    except (expr.EvalDomainError, IntegrationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

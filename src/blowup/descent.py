@@ -1,6 +1,6 @@
 """Preconditioned steepest descent on phi(g) = 0.5 ||lam*g - M g||^2.
 
-Starting from g0 (all ones, or seeded Gaussian noise), each iteration
+Starting from g0 (all ones unless the caller passes one), each iteration
 solves Q d = grad phi(g) with the tridiagonal preconditioner and moves
 along -d by the exact line-search step
 
@@ -96,14 +96,10 @@ __all__ = [
     "DescentConfig",
     "DescentTrace",
     "NearNull",
-    "initial_vector",
     "near_null",
     "run_descent",
     "COLLAPSE_RATIO",
 ]
-
-INIT_ONES = "ones"
-INIT_RANDOM = "random"
 
 STOP_STAGNATED = "stagnated"
 STOP_CAP = "cap"
@@ -132,24 +128,13 @@ _NULL_START_SEED = 0
 
 @dataclass(frozen=True)
 class DescentConfig:
-    """Iteration budget and starting-vector choice.
-
-    max_iters   hard iteration cap
-    init        "ones" or "random"
-    seed        RNG seed for the random start, a non-negative integer
-    """
+    """The iteration budget: max_iters is the hard cap on accepted steps."""
 
     max_iters: int = 20000
-    init: str = INIT_ONES
-    seed: int = 0
 
     def __post_init__(self):
         if not isinstance(self.max_iters, Integral) or self.max_iters < 1:
             raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
-        if not isinstance(self.seed, Integral) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.init not in (INIT_ONES, INIT_RANDOM):
-            raise ValueError(f"init must be 'ones' or 'random', got {self.init!r}")
 
 
 @dataclass
@@ -256,12 +241,6 @@ def near_null(op: DiscreteGenerator) -> NearNull:
     return NearNull(w=w, mw=mw, wq=wq, mu=float(rw @ rw) / wq)
 
 
-def initial_vector(size: int, config: DescentConfig) -> np.ndarray:
-    if config.init == INIT_RANDOM:
-        return np.random.default_rng(config.seed).standard_normal(size)
-    return np.ones(size)
-
-
 def _exact_step(rg, rd):
     """Exact line-search step along d from R g and R d, and whether the
     search stagnated.
@@ -314,19 +293,14 @@ def run_descent(
     config: DescentConfig = DescentConfig(),
     g0=None,
 ) -> DescentTrace:
-    """Run preconditioned steepest descent; see the module docstring.
-
-    ``g0`` overrides the configured starting vector when given.
+    """Run preconditioned steepest descent from ``g0``, all ones when not
+    given; see the module docstring.
     """
-    if g0 is None:
-        g = initial_vector(op.grid.n + 1, config)
-    else:
-        g = np.array(g0, dtype=float)
-        if g.shape != (op.grid.n + 1,):
-            raise ValueError(
-                f"starting vector must have shape ({op.grid.n + 1},), "
-                f"got {g.shape}"
-            )
+    g = np.ones(op.grid.n + 1) if g0 is None else np.array(g0, dtype=float)
+    if g.shape != (op.grid.n + 1,):
+        raise ValueError(
+            f"starting vector must have shape ({op.grid.n + 1},), got {g.shape}"
+        )
 
     lam = op.lam
     precond = Preconditioner(op)

@@ -26,7 +26,6 @@ from blowup.descent import (
     RATIO_GATE,
     _exact_step,
     _in_span,
-    initial_vector,
     near_null,
 )
 from blowup.discrete import Preconditioner
@@ -127,7 +126,7 @@ def reference_descent(op, config, g0=None):
     search.  Returns the final iterate, phi at the start and after
     every accepted step, the number of steps and the stop reason.
     """
-    g = initial_vector(op.grid.n + 1, config) if g0 is None else np.array(g0, dtype=float)
+    g = np.ones(op.grid.n + 1) if g0 is None else np.array(g0, dtype=float)
     factor = Preconditioner(op)._factor
     null = near_null(op)
     shrink = 2.0 * null.mu / (1.0 + op.lam**2)

@@ -1,6 +1,7 @@
 """Command-line behavior: flags, config files, artifacts, exit codes."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -91,8 +92,15 @@ def test_usage_error_exit_one(capsys):
 @pytest.mark.parametrize(
     "argv, reason",
     [
-        (["--field", "x^2", "--init", "foo"], "invalid choice: 'foo'"),
+        (["--field", "x^2", "--init", "foo"], "unrecognized arguments: --init foo"),
         (["--field", "x^2", "--z"], "argument --z: expected one argument"),
+        # a value that starts with '-' reaches its own check
+        (["--field", "x^2", "--z", "-1e3"],
+         "truncation point must be finite and positive, got -1000.0"),
+        (["--field", "x^2", "--z", "-inf"],
+         "truncation point must be finite and positive, got -inf"),
+        (["--field", "x^2", "--max-iters", "-1e3"],
+         "argument --max-iters: invalid int value: '-1e3'"),
     ],
 )
 def test_usage_error_names_its_problem(argv, reason, capsys):
@@ -121,13 +129,39 @@ def test_invalid_values_exit_one(tmp_path, capsys):
         assert f"got {value}" in err
 
 
-def test_negative_seed_is_named_in_the_error(capsys):
-    code, out, err = run_cli(
-        ["--field", "x^2", "--n", "40", "--init", "random", "--seed", "-1"], capsys
-    )
-    assert code == 1
-    assert "seed" in err and "-1" in err
-    assert "wrote" not in out
+def test_removed_start_options_are_named_in_the_error(tmp_path, capsys):
+    # the descent always starts from all ones; an old flag or config line
+    # is refused, not ignored
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("init = random\n")
+    for flags, named in (
+        (["--init", "random"], "--init random"),
+        (["--seed", "3"], "--seed 3"),
+        (["--config", str(cfg)], "--init=random"),
+    ):
+        code, out, err = run_cli(
+            ["--field", "x^2", "--n", "40", *flags, "--out", str(tmp_path)], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: unrecognized arguments: {named}\n"
+
+
+def test_unwritable_out_exit_one_after_the_run(tmp_path, capsys):
+    # an artifact that cannot be written is reported like any other error:
+    # no verdict line on stdout
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run_cli(["--field", "x^2", *FAST, "--out", str(blocker)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [Errno 17] File exists")
+
+
+def test_out_directory_may_start_with_a_dash(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(["--field", "x^2", *FAST, "--out", "-d"], capsys)
+    assert code == 0
+    assert "wrote -d/report.json" in out.splitlines()
+    assert (tmp_path / "-d" / "report.json").exists()
 
 
 def test_empty_lists_are_rejected_from_flags_and_files(tmp_path, capsys):
@@ -277,10 +311,14 @@ def test_emit_svg_constant_profile_is_horizontal(tmp_path):
 
 def test_svg_escapes_markup_in_title(tmp_path):
     path = tmp_path / "esc.svg"
-    emit_svg(Grid(1.0, 2), [0.0, 1.0, 0.0], "a<b", str(path))
+    emit_svg(Grid(1.0, 2), [0.0, 1.0, 0.0], """a<b&>"'""", str(path))
     svg = path.read_text()
-    assert "a&lt;b" in svg
     assert "a<b" not in svg
+    # quotes stay as they are: the title is element text, not an attribute
+    assert svg.splitlines()[3] == (
+        '<text x="400.00" y="30" text-anchor="middle" font-family="monospace" '
+        'font-size="16">a&lt;b&amp;&gt;"\'</text>'
+    )
 
 
 # --------------------------------------------------------------------------
@@ -346,13 +384,12 @@ def test_flag_beats_config_for_every_key(tmp_path, capsys):
     # set every key again, so the run must equal the flags-only run
     flags = [
         "--field", "x^2", "--z", "10", "--n", "40", "--lambda", "1",
-        "--sweep=no", "--init", "random", "--seed", "3", "--emit", "json",
-        "--max-iters", "20000",
+        "--sweep=no", "--emit", "json", "--max-iters", "20000",
     ]
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        "field = x*(\nz = -1\nn = 1\nlambda = -1\nsweep = yes\ninit = ones\n"
-        f"seed = -1\nemit = csv\nmax-iters = 0\nout = {tmp_path / 'file'}\n"
+        "field = x*(\nz = -1\nn = 1\nlambda = -1\nsweep = yes\n"
+        f"emit = csv\nmax-iters = 0\nout = {tmp_path / 'file'}\n"
     )
     assert run_cli([*flags, "--out", str(tmp_path / "ref")], capsys)[0] == 0
     code, _, _ = run_cli(
@@ -395,7 +432,11 @@ def test_missing_config_file_exit_one(tmp_path, capsys):
 # --------------------------------------------------------------------------
 
 def test_module_invocation_with_dash_field(tmp_path):
-    # a real process-level run, with a field value that starts with '-'
+    # a real process-level run, with a field value that starts with '-';
+    # the child finds the package through the repo's src, as pytest does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable, "-m", "blowup",
@@ -404,6 +445,7 @@ def test_module_invocation_with_dash_field(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "GLOBAL"

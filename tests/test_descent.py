@@ -10,7 +10,6 @@ from blowup.descent import (
     COLLAPSE_RATIO,
     DescentConfig,
     _inverse_iteration,
-    initial_vector,
     near_null,
     run_descent,
 )
@@ -115,9 +114,10 @@ def test_trace_records_initial_norm_and_iteration_count():
 def test_determinism_bitwise():
     rng = np.random.default_rng(37)
     op = random_operator(rng)
-    cfg = DescentConfig(max_iters=150, init="random", seed=99)
-    a = run_descent(op, cfg)
-    b = run_descent(op, cfg)
+    cfg = DescentConfig(max_iters=150)
+    g0 = np.random.default_rng(99).standard_normal(op.grid.n + 1)
+    a = run_descent(op, cfg, g0)
+    b = run_descent(op, cfg, g0)
     assert np.array_equal(a.g_final, b.g_final)
     assert a.iterations == b.iterations
 
@@ -178,36 +178,30 @@ def test_explicit_start_vector():
         run_descent(op, g0=np.ones(3))
 
 
-def test_initial_vector_modes():
-    ones = initial_vector(5, DescentConfig())
-    np.testing.assert_array_equal(ones, 1.0)
-    r1 = initial_vector(5, DescentConfig(init="random", seed=7))
-    r2 = initial_vector(5, DescentConfig(init="random", seed=7))
-    r3 = initial_vector(5, DescentConfig(init="random", seed=8))
-    np.testing.assert_array_equal(r1, r2)
-    assert not np.array_equal(r1, r3)
+def test_the_default_start_is_all_ones():
+    op = DiscreteGenerator.from_field(parse("x^2"), Grid(10.0, 40), 1.0)
+    cfg = DescentConfig(max_iters=50)
+    default = run_descent(op, cfg)
+    ones = run_descent(op, cfg, g0=np.ones(41))
+    assert default.initial_norm == 1.0
+    assert default.g_final.tobytes() == ones.g_final.tobytes()
+    assert (default.iterations, default.stop_reason) == (ones.iterations, ones.stop_reason)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         DescentConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        DescentConfig(init="sobol")
-    # construct-time errors, not a TypeError from range or SeedSequence
-    # when the descent starts
+    # a construct-time error, not a TypeError from range when the descent
+    # starts
     with pytest.raises(ValueError, match="2.5"):
         DescentConfig(max_iters=2.5)
-    with pytest.raises(ValueError, match="1.5"):
-        DescentConfig(init="random", seed=1.5)
-    with pytest.raises(ValueError, match="seed.*-1"):
-        DescentConfig(init="random", seed=-1)
 
 
 def test_random_start_still_finds_the_eigenfunction():
     # the verdict mechanism must not depend on the all-ones start
     grid = Grid(10.0, 100)
     op = DiscreteGenerator.from_field(parse("x^2"), grid, 1.0)
-    trace = run_descent(op, DescentConfig(init="random", seed=3))
+    trace = run_descent(op, g0=np.random.default_rng(3).standard_normal(101))
     assert trace.norm_ratio > 0.05
     assert trace.rel_residual < 1e-2
 
@@ -271,7 +265,7 @@ def test_cap_is_reported_as_such():
         ("-x^2", 200, 10.0, 1.0, DescentConfig(), "collapsed"),
         # a field that changes sign (backward rows) from a random start,
         # certified by the cycle
-        ("x*(x-1)", 100, 10.0, 1.0, DescentConfig(init="random", seed=1), "certified"),
+        ("x*(x-1)", 100, 10.0, 1.0, DescentConfig(), "certified"),
         ("x^2", 40, 10.0, 1.0, DescentConfig(max_iters=30), "cap"),
         ("exp(x)", 200, 40.0, 2.0, DescentConfig(), "stagnated"),
         # the first two stop by the span test (certified) and by the cycle
@@ -281,8 +275,10 @@ def test_cap_is_reported_as_such():
 )
 def test_descent_is_bitwise_the_reference_loop(text, n, z, lam, config, reason):
     op = DiscreteGenerator.from_field(parse(text), Grid(z, n), lam)
-    g, _, iterations, stop_reason = dense.reference_descent(op, config)
-    trace = run_descent(op, config)
+    # x*(x-1) starts from seeded Gaussian noise, the others from all ones
+    g0 = np.random.default_rng(1).standard_normal(n + 1) if text == "x*(x-1)" else None
+    g, _, iterations, stop_reason = dense.reference_descent(op, config, g0)
+    trace = run_descent(op, config, g0)
     assert stop_reason == reason
     assert trace.stop_reason == stop_reason
     assert trace.iterations == iterations
